@@ -14,6 +14,7 @@ from .errors import (
     BadModulus,
     BadOrder,
     DegenerateBlock,
+    DenominatorOverflow,
     DimensionMismatch,
     EvenDimension,
     EvenGeneratorCount,
@@ -158,5 +159,5 @@ __all__ = [
     "BadOrder", "DegenerateBlock", "InconsistentOrders", "InvalidFactorSet",
     "IrrationalPhase", "UnknownName", "ZeroVector", "EvenGeneratorCount",
     "BadDeterminant", "UnsupportedTransform", "IrrationalFlux", "NotReal",
-    "NotHermitian", "EvenDimension",
+    "NotHermitian", "EvenDimension", "DenominatorOverflow",
 ]

@@ -135,8 +135,8 @@ def _grid(rows: list[list[str]]) -> str:
 def _pretty_matrix(m) -> str:
     if isinstance(m, MonomialMatrix):
         cells = [["." for _ in range(m.dim)] for _ in range(m.dim)]
-        for c in range(m.dim):
-            cells[m.target[c]][c] = str(m.phase[c])
+        for c, (row, p) in enumerate(zip(m.target, m.phase)):
+            cells[row][c] = str(p)
         return _grid(cells)
     arr = np.asarray(m)
     return _grid([[_c_str(complex(z)) for z in row] for row in arr])
@@ -201,8 +201,7 @@ def _cmd_rep(args):
     t = validate_tmatrix(raw, args.nhat)
     orders = _int_list(args.orders, "--orders") if args.orders else (t.nhat,) * t.n
     rep = build_representation(GcaSpec(t, orders))
-    report = verify_relations(rep.gens, rep.spec.t, rep.spec.orders)
-    return _rep_text(rep, report, args.pretty), 0 if report.overall else 1
+    return _rep_text(rep, rep.report, args.pretty), 0 if rep.report.overall else 1
 
 
 def _cmd_clifford(args):

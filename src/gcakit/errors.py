@@ -23,6 +23,7 @@ __all__ = [
     "NotReal",
     "NotHermitian",
     "EvenDimension",
+    "DenominatorOverflow",
 ]
 
 
@@ -96,3 +97,7 @@ class NotHermitian(GcaError):
 
 class EvenDimension(GcaError):
     """This transform is defined only in odd dimension."""
+
+
+class DenominatorOverflow(GcaError):
+    """A common phase denominator exceeds 2**62, the bound of the int64 exponents."""

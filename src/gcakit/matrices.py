@@ -1,23 +1,29 @@
 """Monomial (generalized permutation) matrices and dense helpers.
 
 Clock/shift generator words have exactly one nonzero entry per row and per
-column, and that entry is a root of unity.  Such a matrix is stored as a
-permutation plus a Phase per column: column c carries entry phase[c] in row
-target[c].  Products, adjoints, tensor products and integer powers close
-over this form and are computed exactly; sums of monomials fall back to
-dense numpy arrays.
+column, and that entry is a root of unity.  Such a matrix is stored as two
+int64 arrays over one denominator den: column c carries the entry
+e^(2*pi*i*exp[c]/den) in row target[c].  A product aligns both operands to
+the lcm of their denominators and is then a gather plus an add mod den; the
+adjoint is a scatter and a tensor product an outer sum.  All of it is
+integer arithmetic, so every comparison is an exact ==.
+
+Phase stays the scalar type at the edges: the constructor takes one Phase
+per column, and the read-only views .target and .phase give tuples back.
+A denominator is at most MAX_DEN = 2**62, so that the sum of two exponents
+cannot wrap an int64; a common denominator beyond it raises
+DenominatorOverflow.  Sums of monomials fall back to dense numpy arrays.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .phase import ONE, Phase
+from .errors import DenominatorOverflow, DimensionMismatch
+from .phase import Phase
 
 __all__ = [
     "DEFAULT_TOL",
@@ -34,10 +40,24 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+MAX_DEN = 2**62
 
 
-def _exact_phase_sum(phases: list[Phase]) -> complex:
-    """Sum a multiset of roots of unity, cancelling complete cosets exactly.
+def _check_den(den: int) -> int:
+    if den > MAX_DEN:
+        raise DenominatorOverflow(f"common phase denominator {den} exceeds 2**62")
+    return den
+
+
+def _phase_exponents(phases) -> tuple[np.ndarray, int]:
+    """Exponents of a sequence of Phases over their common denominator."""
+    den = _check_den(lcm(*{p.den for p in phases}))
+    exp = np.array([p.num * (den // p.den) for p in phases], dtype=np.int64)
+    return exp, den
+
+
+def _coset_sum(residues, big: int) -> complex:
+    """Sum the roots e^(2*pi*i*r/big), cancelling complete cosets exactly.
 
     Any full coset {z*w^j : j = 0..M-1} of the M-th roots of unity (M >= 2)
     sums to exactly zero, so it is removed before any floating evaluation.
@@ -49,12 +69,9 @@ def _exact_phase_sum(phases: list[Phase]) -> complex:
     does cancel is anchored at some present residue.  Scanning those anchors
     keeps the work proportional to the input, not to the lcm of the orders.
     """
-    if not phases:
+    counts: Counter[int] = Counter(residues)
+    if not counts:
         return 0j
-    big = 1
-    for p in phases:
-        big = lcm(big, p.den)
-    counts: Counter[int] = Counter((p.num * (big // p.den)) % big for p in phases)
     live = {res for res, c in counts.items() if c}
     for m in range(len(live), 1, -1):
         if big % m or m > len(live):
@@ -82,48 +99,129 @@ def _exact_phase_sum(phases: list[Phase]) -> complex:
 
 def phase_sum(phases) -> complex:
     """Exact sum of roots of unity; complete cosets cancel to a true zero."""
-    return _exact_phase_sum(list(phases))
+    phases = list(phases)
+    big = lcm(*(p.den for p in phases))
+    return _coset_sum(((p.num * (big // p.den)) % big for p in phases), big)
 
 
-@dataclass(frozen=True, slots=True)
 class MonomialMatrix:
-    """Square matrix with entry phase[c] at (target[c], c) and zeros elsewhere."""
+    """Square matrix with entry e^(2*pi*i*exp[c]/den) at (target[c], c), zeros elsewhere.
 
-    dim: int
-    target: tuple[int, ...]
-    phase: tuple[Phase, ...]
+    Immutable.  MonomialMatrix(dim, target, phase) takes a permutation and
+    one Phase per column; equality and hashing do not depend on which
+    common denominator the exponents happen to be stored over.
+    """
 
-    def __post_init__(self):
-        if len(self.target) != self.dim or len(self.phase) != self.dim:
+    __slots__ = ("dim", "den", "_target", "_exp")
+
+    def __init__(self, dim: int, target, phase):
+        self.__post_init__(dim, target, phase)
+
+    def __post_init__(self, dim: int, target, phase):
+        if len(target) != dim or len(phase) != dim:
             raise DimensionMismatch("target/phase length must equal dim")
-        if sorted(self.target) != list(range(self.dim)):
+        if sorted(target) != list(range(dim)):
             raise ValueError("target must be a permutation of 0..dim-1")
+        exp, den = _phase_exponents(phase)
+        self._init(np.array(target, dtype=np.int64), exp, den)
+
+    def _init(self, target: np.ndarray, exp: np.ndarray, den: int) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "dim", len(target))
+        setattr_(self, "den", den)
+        setattr_(self, "_target", target)
+        setattr_(self, "_exp", exp)
+
+    @classmethod
+    def _new(cls, target: np.ndarray, exp: np.ndarray, den: int) -> "MonomialMatrix":
+        # trusted arrays: target a permutation, 0 <= exp < den <= MAX_DEN
+        m = object.__new__(cls)
+        m._init(target, exp, den)
+        return m
+
+    @classmethod
+    def from_exponents(cls, target, exp, den: int) -> "MonomialMatrix":
+        """Column c holds e^(2*pi*i*exp[c]/den) in row target[c]; exp is taken mod den."""
+        if den < 1:
+            raise ValueError(f"denominator must be >= 1, got {den}")
+        _check_den(den)
+        target = np.asarray(target, dtype=np.int64)
+        exp = np.asarray(exp, dtype=np.int64) % den
+        if target.ndim != 1 or exp.shape != target.shape:
+            raise DimensionMismatch("target and exp must be vectors of one length")
+        if not np.array_equal(np.sort(target), np.arange(len(target))):
+            raise ValueError("target must be a permutation of 0..dim-1")
+        return cls._new(target, exp, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MonomialMatrix is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return (MonomialMatrix._new, (self._target, self._exp, self.den))
+
+    @property
+    def target(self) -> tuple[int, ...]:
+        return tuple(self._target.tolist())
+
+    @property
+    def phase(self) -> tuple[Phase, ...]:
+        den = self.den
+        return tuple(Phase(e, den) for e in self._exp.tolist())
+
+    def phase_fractions(self) -> tuple[list[int], list[int]]:
+        """Per column, the phase exponent in lowest terms: (nums, dens)."""
+        g = np.gcd(self._exp, self.den)
+        return (self._exp // g).tolist(), (self.den // g).tolist()
+
+    def __repr__(self) -> str:
+        return f"MonomialMatrix(dim={self.dim}, target={self.target}, phase={self.phase})"
+
+    def _reduced(self) -> "MonomialMatrix":
+        """The same matrix over its smallest denominator."""
+        g = gcd(self.den, int(np.gcd.reduce(self._exp)))
+        if g == 1:
+            return self
+        return MonomialMatrix._new(self._target, self._exp // g, self.den // g)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MonomialMatrix):
+            return NotImplemented
+        if self.dim != other.dim or not np.array_equal(self._target, other._target):
+            return False
+        a, b = (self, other) if self.den == other.den else (self._reduced(), other._reduced())
+        return a.den == b.den and np.array_equal(a._exp, b._exp)
+
+    def __hash__(self) -> int:
+        r = self._reduced()
+        return hash((self.dim, r.den, self._target.tobytes(), r._exp.tobytes()))
 
     @staticmethod
     def identity(dim: int) -> "MonomialMatrix":
-        return MonomialMatrix(dim, tuple(range(dim)), (ONE,) * dim)
+        return MonomialMatrix._new(np.arange(dim, dtype=np.int64), np.zeros(dim, dtype=np.int64), 1)
 
     @staticmethod
     def diagonal(phases: tuple[Phase, ...]) -> "MonomialMatrix":
         d = len(phases)
         return MonomialMatrix(d, tuple(range(d)), tuple(phases))
 
+    def _exp_over(self, den: int) -> np.ndarray:
+        return self._exp if den == self.den else self._exp * (den // self.den)
+
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         if not isinstance(other, MonomialMatrix):
             return NotImplemented
         if self.dim != other.dim:
             raise DimensionMismatch(f"dims {self.dim} != {other.dim}")
-        tgt = tuple(self.target[other.target[c]] for c in range(self.dim))
-        ph = tuple(self.phase[other.target[c]] * other.phase[c] for c in range(self.dim))
-        return MonomialMatrix(self.dim, tgt, ph)
+        ea, eb, den = _common(self, other)
+        cols = other._target
+        return MonomialMatrix._new(self._target[cols], (ea[cols] + eb) % den, den)
 
     def adjoint(self) -> "MonomialMatrix":
-        tgt = [0] * self.dim
-        ph = [ONE] * self.dim
-        for c in range(self.dim):
-            tgt[self.target[c]] = c
-            ph[self.target[c]] = self.phase[c].inverse()
-        return MonomialMatrix(self.dim, tuple(tgt), tuple(ph))
+        tgt = np.empty_like(self._target)
+        tgt[self._target] = np.arange(self.dim)
+        exp = np.empty_like(self._exp)
+        exp[self._target] = -self._exp % self.den
+        return MonomialMatrix._new(tgt, exp, self.den)
 
     def inverse(self) -> "MonomialMatrix":
         # entries are unit phases, so the inverse is the adjoint
@@ -142,40 +240,55 @@ class MonomialMatrix:
 
     def tensor(self, other: "MonomialMatrix") -> "MonomialMatrix":
         """Kronecker product; the left factor is the slow (row-major) index."""
-        d1, d2 = self.dim, other.dim
-        tgt = []
-        ph = []
-        for c1 in range(d1):
-            for c2 in range(d2):
-                tgt.append(self.target[c1] * d2 + other.target[c2])
-                ph.append(self.phase[c1] * other.phase[c2])
-        return MonomialMatrix(d1 * d2, tuple(tgt), tuple(ph))
+        ea, eb, den = _common(self, other)
+        tgt = self._target[:, None] * other.dim + other._target[None, :]
+        exp = (ea[:, None] + eb[None, :]) % den
+        return MonomialMatrix._new(tgt.ravel(), exp.ravel(), den)
 
     def scale(self, z: Phase) -> "MonomialMatrix":
-        return MonomialMatrix(self.dim, self.target, tuple(z * p for p in self.phase))
+        m = self if lcm(self.den, z.den) <= MAX_DEN else self._reduced()
+        den = _check_den(lcm(m.den, z.den))
+        exp = (m._exp_over(den) + z.num * (den // z.den)) % den
+        return MonomialMatrix._new(self._target, exp, den)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for c in range(self.dim):
-            out[self.target[c], c] = self.phase[c].to_complex()
+        # one Phase.to_complex per distinct entry keeps the values bit-exact
+        vals, inv = np.unique(self._exp, return_inverse=True)
+        table = np.array([Phase(v, self.den).to_complex() for v in vals.tolist()], dtype=complex)
+        out[self._target, np.arange(self.dim)] = table[inv]
         return out
 
     def trace_exact(self) -> complex:
-        return _exact_phase_sum(
-            [self.phase[c] for c in range(self.dim) if self.target[c] == c]
-        )
+        fixed = self._exp[self._target == np.arange(self.dim)]
+        # over the smallest denominator of the diagonal entries
+        g = gcd(self.den, int(np.gcd.reduce(fixed)))
+        return _coset_sum((fixed // g).tolist(), self.den // g)
 
     def scalar_phase(self) -> Phase | None:
         """The Phase z when this matrix equals z * identity, else None."""
-        if any(self.target[c] != c for c in range(self.dim)):
+        if not np.array_equal(self._target, np.arange(self.dim)):
             return None
-        first = self.phase[0]
-        if any(p != first for p in self.phase):
+        first = self._exp[0]
+        if np.any(self._exp != first):
             return None
-        return first
+        return Phase(int(first), self.den)
 
     def is_identity(self) -> bool:
-        return self.scalar_phase() == ONE
+        return not self._exp.any() and np.array_equal(self._target, np.arange(self.dim))
+
+
+def _common(a: MonomialMatrix, b: MonomialMatrix) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exponents of a and b over one denominator, with that denominator.
+
+    Past MAX_DEN both are first brought to their smallest denominators; only
+    when the lcm of those is still too large is DenominatorOverflow raised.
+    """
+    den = lcm(a.den, b.den)
+    if den > MAX_DEN:
+        a, b = a._reduced(), b._reduced()
+        den = _check_den(lcm(a.den, b.den))
+    return a._exp_over(den), b._exp_over(den), den
 
 
 def to_dense(x) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 A Phase is the complex number e^(2*pi*i*num/den), stored as the reduced
 fraction num/den with 0 <= num < den.  Products, integer powers, inverses
-and principal roots stay inside this representation, so identities between
-generator words can be checked with zero tolerance instead of a float one.
+and principal roots stay inside this representation, computed on the
+integers num and den, so identities between generator words can be checked
+with zero tolerance instead of a float one.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import IrrationalPhase
 
@@ -25,11 +27,19 @@ class Phase:
     den: int = 1
 
     def __post_init__(self):
-        if self.den == 0:
+        num, den = self.num, self.den
+        if den == 0:
             raise ZeroDivisionError("phase denominator must be nonzero")
-        f = Fraction(self.num, self.den) % 1
-        object.__setattr__(self, "num", f.numerator)
-        object.__setattr__(self, "den", f.denominator)
+        if type(num) is int and type(den) is int:
+            if den < 0:
+                num, den = -num, -den
+            g = gcd(num, den)
+            num, den = (num // g) % (den // g), den // g
+        else:
+            f = Fraction(num, den) % 1
+            num, den = f.numerator, f.denominator
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_fraction(cls, f: Fraction | int) -> "Phase":
@@ -65,16 +75,16 @@ class Phase:
         return self.num == 0
 
     def __mul__(self, other: "Phase") -> "Phase":
-        return Phase.from_fraction(self.exponent + other.exponent)
+        return Phase(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __truediv__(self, other: "Phase") -> "Phase":
-        return Phase.from_fraction(self.exponent - other.exponent)
+        return Phase(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __pow__(self, k: int) -> "Phase":
-        return Phase.from_fraction(self.exponent * k)
+        return Phase(self.num * k, self.den)
 
     def inverse(self) -> "Phase":
-        return Phase.from_fraction(-self.exponent)
+        return Phase(-self.num, self.den)
 
     def conjugate(self) -> "Phase":
         return self.inverse()
@@ -83,7 +93,7 @@ class Phase:
         """Principal k-th root: the one with the smallest nonnegative exponent."""
         if k <= 0:
             raise ValueError("root index must be positive")
-        return Phase.from_fraction(self.exponent / k)
+        return Phase(self.num, self.den * k)
 
     def to_complex(self) -> complex:
         # den 1, 2, 4 cover every entry of the Pauli words; keep them bit-exact.

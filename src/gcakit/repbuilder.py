@@ -20,8 +20,8 @@ phase exponent.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
@@ -34,7 +34,14 @@ from .errors import (
     InvalidFactorSet,
     UnknownName,
 )
-from .matrices import DEFAULT_TOL, MonomialMatrix, max_abs_diff, to_dense
+from .matrices import (
+    DEFAULT_TOL,
+    MonomialMatrix,
+    _check_den,
+    _phase_exponents,
+    max_abs_diff,
+    to_dense,
+)
 from .phase import IMAG, MINUS_IMAG, MINUS_ONE, ONE, Phase
 from .report import Check, VerificationReport
 from .skewnormal import TMatrix, skew_normal_form, validate_tmatrix
@@ -101,12 +108,17 @@ class GcaSpec:
 
 @dataclass(frozen=True, slots=True)
 class Representation:
-    """Generators realizing a GcaSpec, with the scalar normalizations used."""
+    """Generators realizing a GcaSpec, with the scalar normalizations used.
+
+    report is the exact verification build_representation ran on the
+    generators, or None where the family was not built that way.
+    """
 
     spec: GcaSpec
     dim: int
     gens: tuple[MonomialMatrix, ...]
     mu: tuple[Phase, ...]
+    report: VerificationReport | None = field(default=None, compare=False, repr=False)
 
 
 def _slot_embed(mat: MonomialMatrix, slot: int, dims: list[int]) -> MonomialMatrix:
@@ -159,7 +171,7 @@ def build_representation(spec: GcaSpec) -> Representation:
     rpt = verify_gca(rep)
     if not rpt.overall:
         raise InconsistentOrders(f"constructed generators failed verification:\n{rpt}")
-    return rep
+    return Representation(spec=spec, dim=dim, gens=rep.gens, mu=rep.mu, report=rpt)
 
 
 def verify_relations(gens, t: TMatrix, orders, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -326,75 +338,122 @@ def ordered_gca_generators(n: int, n_order: int) -> Representation:
 class FactorSet:
     """Multiplier table phi(g, h) on Z_{N_1} x ... x Z_{N_n}.
 
-    Elements are exponent tuples; the table must cover every ordered pair.
-    validate() enforces phi(E,g) = phi(g,E) = 1 and the associativity
-    identity phi(g,h) phi(gh,l) = phi(g,hl) phi(h,l) over all triples.
+    Elements are exponent tuples, numbered in mixed radix in the order of
+    elements() (last coordinate fastest).  The table must cover every
+    ordered pair; it is stored as the (|G|, |G|) int64 array exp over one
+    denominator den, phi(g, h) = e^(2*pi*i*exp[g, h]/den), beside the
+    (|G|, |G|) multiplication table of element numbers.  validate()
+    enforces phi(E,g) = phi(g,E) = 1 and the associativity identity
+    phi(g,h) phi(gh,l) = phi(g,hl) phi(h,l) over all triples, as integer
+    equalities mod den.
     """
 
     def __init__(self, orders, table):
-        self.orders = tuple(int(x) for x in orders)
-        if any(x < 1 for x in self.orders):
-            raise BadOrder("group orders must be positive")
-        self.table = dict(table)
-        self.identity = (0,) * len(self.orders)
-        for g in self.elements():
-            for h in self.elements():
-                if (g, h) not in self.table:
+        orders = _group_orders(orders)
+        table = dict(table)
+        elems = list(itertools.product(*(range(nj) for nj in orders)))
+        phases = []
+        for g in elems:
+            for h in elems:
+                if (g, h) not in table:
                     raise InvalidFactorSet(f"missing table entry for {(g, h)}")
+                phases.append(table[(g, h)])
+        exp, den = _phase_exponents(phases)
+        self._init(orders, exp.reshape(len(elems), len(elems)), den)
+
+    def _init(self, orders: tuple[int, ...], exp: np.ndarray, den: int) -> None:
+        self.orders = orders
+        self.identity = (0,) * len(orders)
+        self.exp = exp
+        self.den = den
+        # radix[j] is the element number of the generator c_j
+        self._radix = tuple(int(np.prod(orders[j + 1:], dtype=np.int64)) for j in range(len(orders)))
+        coords = np.array(list(self.elements()), dtype=np.int64).reshape(len(exp), len(orders))
+        self._mul = ((coords[:, None, :] + coords[None, :, :]) % orders) @ np.array(
+            self._radix, dtype=np.int64
+        )
+
+    @classmethod
+    def _from_exponents(cls, orders, exp: np.ndarray, den: int) -> "FactorSet":
+        fs = cls.__new__(cls)
+        fs._init(orders, exp, den)
+        return fs
 
     def elements(self):
         return itertools.product(*(range(nj) for nj in self.orders))
+
+    def _element(self, i: int) -> tuple[int, ...]:
+        return tuple((i // r) % nj for r, nj in zip(self._radix, self.orders))
+
+    def _number(self, g) -> int:
+        g = tuple(g)
+        if len(g) != len(self.orders) or not all(0 <= x < nj for x, nj in zip(g, self.orders)):
+            raise KeyError(g)
+        return sum(x * r for x, r in zip(g, self._radix))
+
+    @property
+    def table(self) -> dict:
+        """The multiplier table as a dict {(g, h): Phase}."""
+        elems = list(self.elements())
+        return {
+            (g, h): Phase(int(self.exp[i, k]), self.den)
+            for i, g in enumerate(elems)
+            for k, h in enumerate(elems)
+        }
 
     def mul(self, g, h):
         return tuple((a + b) % nj for a, b, nj in zip(g, h, self.orders))
 
     def phi(self, g, h) -> Phase:
-        return self.table[(tuple(g), tuple(h))]
+        return Phase(int(self.exp[self._number(g), self._number(h)]), self.den)
 
     def validate(self) -> None:
-        e = self.identity
-        for g in self.elements():
-            if not self.phi(e, g).is_one() or not self.phi(g, e).is_one():
-                raise InvalidFactorSet(f"normalization fails at {g}")
-        for g in self.elements():
-            for h in self.elements():
-                gh = self.mul(g, h)
-                for l in self.elements():
-                    lhs = self.phi(g, h) * self.phi(gh, l)
-                    rhs = self.phi(g, self.mul(h, l)) * self.phi(h, l)
-                    if lhs != rhs:
-                        raise InvalidFactorSet(
-                            f"associativity identity fails at {(g, h, l)}"
-                        )
+        e, m, den = self.exp, self._mul, self.den
+        bad = np.flatnonzero(e[0] | e[:, 0])
+        if bad.size:
+            raise InvalidFactorSet(f"normalization fails at {self._element(int(bad[0]))}")
+        size = len(e)
+        # lhs/rhs[g, h, l] = phi(g,h) phi(gh,l) and phi(g,hl) phi(h,l), a block of g at a time
+        step = max(1, (1 << 20) // (size * size))
+        for lo in range(0, size, step):
+            rows = e[lo:lo + step]
+            lhs = rows[:, :, None] + e[m[lo:lo + step]]
+            rhs = rows[:, m] + e[None, :, :]
+            bad = np.flatnonzero((lhs - rhs) % den)
+            if bad.size:
+                g, h, l = np.unravel_index(int(bad[0]), lhs.shape)
+                triple = (self._element(lo + int(g)), self._element(int(h)), self._element(int(l)))
+                raise InvalidFactorSet(f"associativity identity fails at {triple}")
 
     @classmethod
     def trivial(cls, orders) -> "FactorSet":
-        orders = tuple(int(x) for x in orders)
-        rng = [range(nj) for nj in orders]
-        table = {
-            (g, h): ONE
-            for g in itertools.product(*rng)
-            for h in itertools.product(*rng)
-        }
-        return cls(orders, table)
+        orders = _group_orders(orders)
+        size = int(np.prod(orders, dtype=np.int64))
+        return cls._from_exponents(orders, np.zeros((size, size), dtype=np.int64), 1)
 
     @classmethod
     def bilinear(cls, orders, exps) -> "FactorSet":
         """phi(g, h) = e^(2*pi*i * sum_jk exps[j][k] g_j h_k), exps rational."""
-        from fractions import Fraction
-
-        orders = tuple(int(x) for x in orders)
+        orders = _group_orders(orders)
         n = len(orders)
-        rng = [range(nj) for nj in orders]
-        table = {}
-        for g in itertools.product(*rng):
-            for h in itertools.product(*rng):
-                f = sum(
-                    (Fraction(exps[j][k]) * g[j] * h[k] for j in range(n) for k in range(n)),
-                    Fraction(0),
-                )
-                table[(g, h)] = Phase.from_fraction(f)
-        return cls(orders, table)
+        fr = [[Fraction(exps[j][k]) for k in range(n)] for j in range(n)]
+        den = _check_den(lcm(*(f.denominator for row in fr for f in row)))
+        # int64 unless a row sum of products could pass 2**63
+        dtype = np.int64 if n * max(orders, default=1) * den < 2**63 else object
+        a = np.array(
+            [[f.numerator * (den // f.denominator) % den for f in row] for row in fr], dtype=dtype
+        ).reshape(n, n)
+        coords = np.array(list(itertools.product(*(range(nj) for nj in orders))), dtype=dtype)
+        coords = coords.reshape(-1, n)
+        exp = ((coords @ a) % den) @ coords.T % den
+        return cls._from_exponents(orders, exp.astype(np.int64), den)
+
+
+def _group_orders(orders) -> tuple[int, ...]:
+    orders = tuple(int(x) for x in orders)
+    if any(x < 1 for x in orders):
+        raise BadOrder("group orders must be positive")
+    return orders
 
 
 @dataclass(frozen=True, slots=True)
@@ -426,21 +485,6 @@ def _phi_word_recursive(fs: FactorSet) -> dict:
         cj = tuple(int(i == j) for i in range(n))
         coeff[g] = fs.phi(cj, g2).inverse() * coeff[g2]
     return coeff
-
-
-def _phi_word_closed(fs: FactorSet, g) -> Phase:
-    # closed form of the same product; kept as a cross-check of the recursion
-    n = len(fs.orders)
-    acc = ONE
-    for j in range(n):
-        cj = tuple(int(i == j) for i in range(n))
-        for p in range(1, g[j] + 1):
-            tail = tuple(
-                0 if i < j else ((g[j] - p) % fs.orders[j] if i == j else g[i])
-                for i in range(n)
-            )
-            acc = acc * fs.phi(cj, tail).inverse()
-    return acc
 
 
 def projective_rep(fs: FactorSet) -> ProjectiveRep:
@@ -477,17 +521,6 @@ def projective_rep(fs: FactorSet) -> ProjectiveRep:
         dgens.append(rep.gens[j].scale(acc.root(fs.orders[j]).inverse()))
 
     coeff = _phi_word_recursive(fs)
-    group_size = 1
-    for nj in fs.orders:
-        group_size *= nj
-    if group_size <= 81:
-        for g in fs.elements():
-            if _phi_word_closed(fs, g) != coeff[g]:
-                warnings.warn(
-                    f"closed-form word coefficient disagrees with recursion at {g};"
-                    " using the recursion",
-                    stacklevel=2,
-                )
 
     dmap = {}
     for g in fs.elements():
@@ -497,9 +530,12 @@ def projective_rep(fs: FactorSet) -> ProjectiveRep:
                 word = word @ (dgens[j] ** g[j])
         dmap[g] = word.scale(coeff[g])
 
-    for g in fs.elements():
-        for h in fs.elements():
-            if dmap[g] @ dmap[h] != dmap[fs.mul(g, h)].scale(fs.phi(g, h)):
+    elems = list(fs.elements())
+    words = [dmap[g] for g in elems]
+    mul, exp = fs._mul.tolist(), fs.exp.tolist()
+    for i, g in enumerate(elems):
+        for k, h in enumerate(elems):
+            if words[i] @ words[k] != words[mul[i][k]].scale(Phase(exp[i][k], fs.den)):
                 raise InvalidFactorSet(
                     f"representation property fails at pair {(g, h)}"
                 )

@@ -100,17 +100,13 @@ def emit_json(obj, pretty: bool = False) -> str:
     return "".join(out)
 
 
-def _phase_doc(p: Phase) -> dict:
-    return {"num": p.num, "den": p.den}
-
-
 def matrix_to_doc(m) -> dict:
     if isinstance(m, MonomialMatrix):
         return {
             "kind": "monomial",
             "dim": m.dim,
             "target": list(m.target),
-            "phase": [_phase_doc(p) for p in m.phase],
+            "phase": [{"num": a, "den": b} for a, b in zip(*m.phase_fractions())],
         }
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2:

@@ -34,14 +34,14 @@ def shift(n: int) -> MonomialMatrix:
     """Cyclic shift: |c> -> |c-1 mod n>, i.e. ones on the superdiagonal."""
     if n < 1:
         raise BadOrder(f"order must be >= 1, got {n}")
-    return MonomialMatrix(n, tuple((c - 1) % n for c in range(n)), (ONE,) * n)
+    return MonomialMatrix.from_exponents((np.arange(n) - 1) % n, np.zeros(n), 1)
 
 
 def clock(n: int) -> MonomialMatrix:
     """diag(1, w, ..., w^(n-1)) with w = e^(2*pi*i/n)."""
     if n < 1:
         raise BadOrder(f"order must be >= 1, got {n}")
-    return MonomialMatrix.diagonal(tuple(Phase(c, n) for c in range(n)))
+    return MonomialMatrix.from_exponents(np.arange(n), np.arange(n), n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +95,7 @@ def symmetric_pair(nu: int) -> WeylPair:
     if nu < 0:
         raise BadOrder(f"nu must be >= 0, got {nu}")
     d = 2 * nu + 1
-    b = MonomialMatrix.diagonal(tuple(Phase(c - nu, d) for c in range(d)))
+    b = MonomialMatrix.from_exponents(np.arange(d), np.arange(d) - nu, d)
     return WeylPair(a=shift(d), b=b, order=d, tau=1, omega=Phase(1, d))
 
 

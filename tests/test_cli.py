@@ -237,3 +237,50 @@ def test_selftest_seeded():
     assert code == 0
     assert out.strip().endswith("overall: pass")
     assert "[ok]" in out and "[BAD]" not in out
+
+
+def test_rep_verifies_exactly_once(monkeypatch):
+    import gcakit.cli
+    import gcakit.repbuilder
+
+    calls = []
+    original = gcakit.repbuilder.verify_relations
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gcakit.repbuilder, "verify_relations", counting)
+    monkeypatch.setattr(gcakit.cli, "verify_relations", counting)
+    for argv in (
+        ["rep", "[[0,1,2],[-1,0,3],[-2,-3,0]]", "--nhat", "6"],
+        ["rep", "[[0,1],[-1,0]]", "--nhat", "4", "--orders", "4,4", "--pretty"],
+    ):
+        calls.clear()
+        code, _, _ = call(argv)
+        assert code == 0 and len(calls) == 1
+
+
+def test_verify_rejects_a_denominator_past_2_62():
+    p, q = 2**40 + 15, 2**40 + 27
+    one = {"num": 0, "den": 1}
+    # two phases in one matrix: the common denominator of its columns overflows
+    doc = {
+        "nhat": 2,
+        "t": [[0, 1], [-1, 0]],
+        "gens": [
+            {"kind": "monomial", "dim": 2, "target": [1, 0], "phase": [{"num": 1, "den": p}, {"num": 1, "den": q}]},
+            {"kind": "monomial", "dim": 2, "target": [0, 1], "phase": [one, {"num": 1, "den": 2}]},
+        ],
+    }
+    code, out, err = call(["verify", json.dumps(doc)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2**62" in err
+    # one denominator per matrix: their product overflows while checking
+    doc["gens"] = [
+        {"kind": "monomial", "dim": 1, "target": [0], "phase": [{"num": 1, "den": p}]},
+        {"kind": "monomial", "dim": 1, "target": [0], "phase": [{"num": 1, "den": q}]},
+    ]
+    code, out, err = call(["verify", json.dumps(doc)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2**62" in err

@@ -1,10 +1,16 @@
 """Monomial matrix mechanics against dense numpy oracles."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcakit import (
+    DenominatorOverflow,
     DimensionMismatch,
+    GcaError,
     MonomialMatrix,
     ONE,
     Phase,
@@ -166,3 +172,152 @@ def test_random_word_closure_against_dense():
             max_abs_diff(to_dense(word @ other), to_dense(word) @ to_dense(other))
             < 1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# the integer-array core against pure-Python and dense numpy oracles
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+BIG_P, BIG_Q = 2**40 + 15, 2**40 + 27  # their lcm passes 2**62
+
+
+@st.composite
+def monomials(draw, dim=None, max_den=12):
+    dim = draw(st.integers(1, 6)) if dim is None else dim
+    target = draw(st.permutations(range(dim)))
+    phase = [
+        Phase(draw(st.integers(-max_den, max_den)), draw(st.integers(1, max_den)))
+        for _ in range(dim)
+    ]
+    return MonomialMatrix(dim, tuple(target), tuple(phase))
+
+
+def same_dim_monomials(count):
+    return st.integers(1, 6).flatmap(lambda d: st.tuples(*[monomials(dim=d)] * count))
+
+
+def oracle(m):
+    """(target, exponents mod 1) read off the public views."""
+    return tuple(m.target), tuple(p.exponent for p in m.phase)
+
+
+def oracle_mul(a, b):
+    at, af = a
+    bt, bf = b
+    return tuple(at[c] for c in bt), tuple((af[c] + f) % 1 for c, f in zip(bt, bf))
+
+
+def oracle_dense(m):
+    out = np.zeros((m.dim, m.dim), dtype=complex)
+    for c, (row, p) in enumerate(zip(m.target, m.phase)):
+        out[row, c] = np.exp(2j * np.pi * p.num / p.den)
+    return out
+
+
+@PROPERTY
+@given(same_dim_monomials(3))
+def test_product_is_associative_and_matches_oracles(abc):
+    a, b, c = abc
+    assert (a @ b) @ c == a @ (b @ c)
+    assert oracle(a @ b) == oracle_mul(oracle(a), oracle(b))
+    assert max_abs_diff(to_dense(a @ b), oracle_dense(a) @ oracle_dense(b)) < 1e-12
+
+
+@PROPERTY
+@given(monomials())
+def test_adjoint_is_the_inverse(a):
+    assert a.adjoint() == a.inverse()
+    assert (a @ a.adjoint()).is_identity() and (a.adjoint() @ a).is_identity()
+    assert max_abs_diff(to_dense(a.adjoint()), oracle_dense(a).conj().T) < 1e-12
+
+
+@PROPERTY
+@given(monomials(), st.integers(-7, 7))
+def test_power_is_a_repeated_product(a, k):
+    base = a if k >= 0 else a.inverse()
+    want = reduce(lambda x, y: x @ y, [base] * abs(k), MonomialMatrix.identity(a.dim))
+    assert a**k == want
+    ref = oracle(MonomialMatrix.identity(a.dim))
+    step = oracle(base)
+    for _ in range(abs(k)):
+        ref = oracle_mul(ref, step)
+    assert oracle(a**k) == ref
+
+
+@PROPERTY
+@given(same_dim_monomials(2), same_dim_monomials(2))
+def test_tensor_mixed_product_law(ac, bd):
+    a, c = ac
+    b, d = bd
+    assert a.tensor(b) @ c.tensor(d) == (a @ c).tensor(b @ d)
+    assert max_abs_diff(to_dense(a.tensor(b)), np.kron(oracle_dense(a), oracle_dense(b))) < 1e-12
+
+
+@PROPERTY
+@given(monomials(), st.integers(-30, 30), st.integers(1, 30))
+def test_scale_multiplies_every_entry(a, num, den):
+    z = Phase(num, den)
+    got = a.scale(z)
+    assert oracle(got) == (tuple(a.target), tuple((p.exponent + z.exponent) % 1 for p in a.phase))
+    assert max_abs_diff(to_dense(got), z.to_complex() * oracle_dense(a)) < 1e-12
+    assert got.scale(z.inverse()) == a
+
+
+@PROPERTY
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: st.tuples(st.permutations(range(d)), st.lists(st.integers(0, 3), min_size=d, max_size=d))
+    ),
+    st.integers(2, 7),
+)
+def test_equality_ignores_the_stored_denominator(data, factor):
+    target, exp = data
+    over_4 = MonomialMatrix.from_exponents(target, exp, 4)
+    over_more = MonomialMatrix.from_exponents(target, [factor * e for e in exp], 4 * factor)
+    from_phases = MonomialMatrix(len(target), tuple(target), tuple(Phase(e, 4) for e in exp))
+    assert over_4 == over_more == from_phases
+    assert hash(over_4) == hash(over_more) == hash(from_phases)
+    bumped = MonomialMatrix.from_exponents(target, [factor * e + (c == 0) for c, e in enumerate(exp)], 4 * factor)
+    assert bumped != over_4
+
+
+def test_equality_over_den_4_and_12():
+    a = MonomialMatrix.from_exponents([1, 2, 0], [1, 2, 3], 4)
+    b = MonomialMatrix.from_exponents([1, 2, 0], [3, 6, 9], 12)
+    assert a == b and hash(a) == hash(b)
+    assert a.target == (1, 2, 0)
+    assert a.phase == b.phase == (Phase(1, 4), Phase(1, 2), Phase(3, 4))
+    assert {a: 1}[b] == 1
+
+
+def test_from_exponents_validation():
+    with pytest.raises(ValueError):
+        MonomialMatrix.from_exponents([0, 0], [0, 0], 2)
+    with pytest.raises(DimensionMismatch):
+        MonomialMatrix.from_exponents([0, 1], [0], 2)
+    with pytest.raises(ValueError):
+        MonomialMatrix.from_exponents([0], [0], 0)
+    with pytest.raises(DenominatorOverflow):
+        MonomialMatrix.from_exponents([0], [1], 2**62 + 1)
+
+
+def test_matrices_are_immutable():
+    a = shift(3)
+    with pytest.raises(AttributeError):
+        a.dim = 4
+
+
+def test_denominator_past_2_62_is_rejected_not_wrapped():
+    p, q = Phase(1, BIG_P), Phase(1, BIG_Q)
+    # the scalar type stays exact at any size
+    assert p * q == Phase(BIG_P + BIG_Q, BIG_P * BIG_Q)
+    with pytest.raises(DenominatorOverflow):
+        MonomialMatrix(2, (0, 1), (p, q))
+    a, b = MonomialMatrix.diagonal((p,)), MonomialMatrix.diagonal((q,))
+    for op in (lambda: a @ b, lambda: a.tensor(b), lambda: a.scale(q)):
+        with pytest.raises(GcaError):
+            op()
+    # a large denominator that reduces away is not an overflow
+    trivial = a.scale(p.inverse())
+    assert trivial.is_identity()
+    assert trivial @ b == b

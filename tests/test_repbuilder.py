@@ -1,11 +1,18 @@
 """Construction of generator families and projective representations."""
 
+import itertools
+from fractions import Fraction
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcakit import (
     BadOrder,
     CATALOG_NAMES,
+    DenominatorOverflow,
     DimensionMismatch,
     FactorSet,
     GcaSpec,
@@ -30,6 +37,7 @@ from gcakit import (
     verify_gca,
     verify_relations,
 )
+from gcakit.repbuilder import _phi_word_recursive
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -364,3 +372,130 @@ def test_catalog_dirac_explicit_words():
     assert np.array_equal(to_dense(c["alpha_y"]), np.kron(S1, S2))
     assert np.array_equal(to_dense(c["alpha_z"]), np.kron(S1, S3))
     assert np.array_equal(to_dense(c["beta"]), np.kron(S3, np.eye(2)))
+
+
+# ---------------------------------------------------------------------------
+# verify once: the build's report travels with the representation
+
+
+def test_build_attaches_its_verification_report():
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        rep = build_representation(random_spec(rng, 4, 6))
+        assert rep.report is not None and rep.report.overall
+        assert rep.report == verify_gca(rep)
+    assert clifford_generators(3).report is None
+
+
+def test_report_is_excluded_from_equality():
+    rep = build_representation(random_spec(np.random.default_rng(43), 3, 4))
+    bare = type(rep)(spec=rep.spec, dim=rep.dim, gens=rep.gens, mu=rep.mu)
+    assert bare.report is None and bare == rep
+
+
+# ---------------------------------------------------------------------------
+# factor sets: integer arrays against Phase-level oracles
+
+
+def phi_word_closed(fs, g):
+    """Closed form of the peeling recursion's word coefficient."""
+    n = len(fs.orders)
+    acc = ONE
+    for j in range(n):
+        cj = tuple(int(i == j) for i in range(n))
+        for p in range(1, g[j] + 1):
+            tail = tuple(
+                0 if i < j else ((g[j] - p) % fs.orders[j] if i == j else g[i])
+                for i in range(n)
+            )
+            acc = acc * fs.phi(cj, tail).inverse()
+    return acc
+
+
+def bilinear_exponents(draw, orders):
+    # denominators dividing gcd(N_j, N_k) make the bilinear form a cocycle
+    n = len(orders)
+    return [[Fraction(draw(), gcd(orders[j], orders[k])) for k in range(n)] for j in range(n)]
+
+
+def random_bilinear(rng, orders):
+    return FactorSet.bilinear(orders, bilinear_exponents(lambda: int(rng.integers(0, 12)), orders))
+
+
+@pytest.mark.parametrize(
+    "orders", [(2,), (2, 2), (3, 3), (2, 2, 2), (2, 3, 4), (4, 4), (3, 3, 3), (9, 9), (3, 3, 3, 3)]
+)
+def test_word_coefficients_closed_form_matches_recursion(orders):
+    rng = np.random.default_rng(sum(orders) * 101 + len(orders))
+    for _ in range(3):
+        fs = random_bilinear(rng, orders)
+        coeff = _phi_word_recursive(fs)
+        assert all(phi_word_closed(fs, g) == coeff[g] for g in fs.elements())
+
+
+def validate_reference(orders, table):
+    """First failure of the triple loop over Phase products, or None."""
+    elems = list(itertools.product(*(range(nj) for nj in orders)))
+    e = elems[0]
+
+    def mul(g, h):
+        return tuple((a + b) % nj for a, b, nj in zip(g, h, orders))
+
+    for g in elems:
+        if not table[(e, g)].is_one() or not table[(g, e)].is_one():
+            return f"normalization fails at {g}"
+    for g in elems:
+        for h in elems:
+            for l in elems:
+                lhs = table[(g, h)] * table[(mul(g, h), l)]
+                rhs = table[(g, mul(h, l))] * table[(h, l)]
+                if lhs != rhs:
+                    return f"associativity identity fails at {(g, h, l)}"
+    return None
+
+
+def validate_outcome(fs):
+    try:
+        fs.validate()
+    except InvalidFactorSet as exc:
+        return str(exc)
+    return None
+
+
+group_orders = st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+    lambda o: int(np.prod(o)) <= 16
+)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(group_orders, st.data())
+def test_validate_agrees_with_triple_loop(orders, data):
+    exps = bilinear_exponents(lambda: data.draw(st.integers(0, 11)), orders)
+    table = FactorSet.bilinear(orders, exps).table
+    # a coboundary f(g) f(h) / f(gh) with f(E) = 1 keeps the table a normalized cocycle
+    elems = list(itertools.product(*(range(nj) for nj in orders)))
+    f = {g: Phase(data.draw(st.integers(0, 7)), 8) for g in elems}
+    f[elems[0]] = ONE
+    mul = FactorSet.trivial(orders).mul
+    table = {(g, h): p * f[g] * f[h] / f[mul(g, h)] for (g, h), p in table.items()}
+    assert validate_reference(orders, table) is None
+    assert validate_outcome(FactorSet(orders, table)) is None
+
+    key = data.draw(st.sampled_from(sorted(table)))
+    table[key] = table[key] * Phase(data.draw(st.integers(1, 5)), 6)
+    assert validate_outcome(FactorSet(orders, table)) == validate_reference(orders, table)
+
+
+def test_factor_set_table_round_trips():
+    fs = random_bilinear(np.random.default_rng(47), (2, 3))
+    again = FactorSet(fs.orders, fs.table)
+    assert again.den == fs.den and np.array_equal(again.exp, fs.exp)
+    assert all(again.phi(g, h) == p for (g, h), p in fs.table.items())
+
+
+def test_factor_set_denominator_past_2_62_is_rejected():
+    table = FactorSet.trivial((2,)).table
+    table[((1,), (0,))] = Phase(1, 2**40 + 15)
+    table[((1,), (1,))] = Phase(1, 2**40 + 27)
+    with pytest.raises(DenominatorOverflow):
+        FactorSet((2,), table)

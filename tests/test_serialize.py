@@ -11,6 +11,7 @@ from gcakit import (
     FactorSet,
     InvalidFactorSet,
     MagneticLattice,
+    MonomialMatrix,
     Phase,
     max_abs_diff,
 )
@@ -129,3 +130,13 @@ def test_flux_document_validation():
         doc_to_flux({"f12": [1, 3]})
     with pytest.raises(ValueError):
         doc_to_flux({"f12": [1], "f13": [0, 1], "f23": [0, 1]})
+
+
+def test_monomial_phases_are_emitted_in_lowest_terms():
+    # stored over den 12, emitted as the reduced phases 1/4, 1/2 and 0
+    m = MonomialMatrix.from_exponents([1, 2, 0], [3, 6, 0], 12)
+    doc = matrix_to_doc(m)
+    assert doc["target"] == [1, 2, 0]
+    assert doc["phase"] == [{"num": 1, "den": 4}, {"num": 1, "den": 2}, {"num": 0, "den": 1}]
+    assert doc["phase"] == [{"num": p.num, "den": p.den} for p in m.phase]
+    assert doc_to_matrix(doc) == m
