@@ -145,8 +145,9 @@ class MonomialMatrix:
         if den < 1:
             raise ValueError(f"denominator must be >= 1, got {den}")
         _check_den(den)
-        target = np.asarray(target, dtype=np.int64)
-        exp = np.asarray(exp, dtype=np.int64) % den
+        # copies, so later changes to the caller's arrays cannot reach the matrix
+        target = np.array(target, dtype=np.int64)
+        exp = np.array(exp, dtype=np.int64) % den
         if target.ndim != 1 or exp.shape != target.shape:
             raise DimensionMismatch("target and exp must be vectors of one length")
         if not np.array_equal(np.sort(target), np.arange(len(target))):

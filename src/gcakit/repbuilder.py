@@ -111,14 +111,16 @@ class Representation:
     """Generators realizing a GcaSpec, with the scalar normalizations used.
 
     report is the exact verification build_representation ran on the
-    generators, or None where the family was not built that way.
+    generators, or None where the family was not built that way.  It is
+    not an init field, so dataclasses.replace and hand-built instances
+    cannot carry a report that was run on other generators.
     """
 
     spec: GcaSpec
     dim: int
     gens: tuple[MonomialMatrix, ...]
     mu: tuple[Phase, ...]
-    report: VerificationReport | None = field(default=None, compare=False, repr=False)
+    report: VerificationReport | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def _slot_embed(mat: MonomialMatrix, slot: int, dims: list[int]) -> MonomialMatrix:
@@ -171,7 +173,8 @@ def build_representation(spec: GcaSpec) -> Representation:
     rpt = verify_gca(rep)
     if not rpt.overall:
         raise InconsistentOrders(f"constructed generators failed verification:\n{rpt}")
-    return Representation(spec=spec, dim=dim, gens=rep.gens, mu=rep.mu, report=rpt)
+    object.__setattr__(rep, "report", rpt)
+    return rep
 
 
 def verify_relations(gens, t: TMatrix, orders, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -438,12 +441,11 @@ class FactorSet:
         n = len(orders)
         fr = [[Fraction(exps[j][k]) for k in range(n)] for j in range(n)]
         den = _check_den(lcm(*(f.denominator for row in fr for f in row)))
-        # int64 unless a row sum of products could pass 2**63
-        dtype = np.int64 if n * max(orders, default=1) * den < 2**63 else object
+        # Python ints throughout: den may be up to 2**62, so the sums can pass int64
         a = np.array(
-            [[f.numerator * (den // f.denominator) % den for f in row] for row in fr], dtype=dtype
+            [[f.numerator * (den // f.denominator) % den for f in row] for row in fr], dtype=object
         ).reshape(n, n)
-        coords = np.array(list(itertools.product(*(range(nj) for nj in orders))), dtype=dtype)
+        coords = np.array(list(itertools.product(*(range(nj) for nj in orders))), dtype=object)
         coords = coords.reshape(-1, n)
         exp = ((coords @ a) % den) @ coords.T % den
         return cls._from_exponents(orders, exp.astype(np.int64), den)

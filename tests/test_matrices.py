@@ -307,6 +307,16 @@ def test_matrices_are_immutable():
         a.dim = 4
 
 
+def test_from_exponents_does_not_share_the_callers_arrays():
+    target, exp = np.array([1, 2, 0], dtype=np.int64), np.array([1, 2, 3], dtype=np.int64)
+    a = MonomialMatrix.from_exponents(target, exp, 4)
+    key = {a: 1}
+    target[:] = (0, 1, 2)
+    exp[:] = 0
+    assert a.target == (1, 2, 0) and a.phase == (Phase(1, 4), Phase(1, 2), Phase(3, 4))
+    assert key[MonomialMatrix.from_exponents([1, 2, 0], [1, 2, 3], 4)] == 1
+
+
 def test_denominator_past_2_62_is_rejected_not_wrapped():
     p, q = Phase(1, BIG_P), Phase(1, BIG_Q)
     # the scalar type stays exact at any size

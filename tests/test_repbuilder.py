@@ -1,5 +1,6 @@
 """Construction of generator families and projective representations."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -275,6 +276,19 @@ def test_bilinear_factor_set_phases():
     fs.validate()
 
 
+def test_bilinear_exponents_are_exact_near_the_denominator_bound():
+    # sum_jk a_jk g_j h_k over den = 2**61 - 1 passes 2**63 before the reduction
+    den, orders = 2**61 - 1, (4, 4, 4)
+    rng = np.random.default_rng(53)
+    nums = [[int(rng.integers(den - 2**20, den)) for _ in orders] for _ in orders]
+    fs = FactorSet.bilinear(orders, [[Fraction(x, den) for x in row] for row in nums])
+    assert fs.den == den
+    for g in fs.elements():
+        for h in fs.elements():
+            e = sum(nums[j][k] * g[j] * h[k] for j in range(3) for k in range(3)) % den
+            assert fs.phi(g, h) == Phase(e, den)
+
+
 def test_projective_rep_two_by_two():
     fs = FactorSet.bilinear((2, 2), [[0, "1/2"], [0, 0]])
     pr = projective_rep(fs)
@@ -391,6 +405,17 @@ def test_report_is_excluded_from_equality():
     rep = build_representation(random_spec(np.random.default_rng(43), 3, 4))
     bare = type(rep)(spec=rep.spec, dim=rep.dim, gens=rep.gens, mu=rep.mu)
     assert bare.report is None and bare == rep
+
+
+def test_replaced_generators_carry_no_report():
+    rep = build_representation(random_spec(np.random.default_rng(45), 3, 4))
+    g0 = rep.gens[0]
+    flipped = type(g0)(g0.dim, g0.target, (g0.phase[0] * MINUS_ONE,) + g0.phase[1:])
+    other = dataclasses.replace(rep, gens=(flipped,) + rep.gens[1:])
+    assert rep.report.overall and other.report is None
+    assert not verify_gca(other).overall
+    with pytest.raises(TypeError):
+        type(rep)(spec=rep.spec, dim=rep.dim, gens=rep.gens, mu=rep.mu, report=rep.report)
 
 
 # ---------------------------------------------------------------------------
