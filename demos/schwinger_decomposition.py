@@ -2,9 +2,9 @@
 
 The N^2 words A^k B^l built from one clock/shift pair are orthogonal under
 the trace pairing, so any N x N matrix M expands as sum mu_kl A^k B^l.  The
-coefficients come either from traces or from a finite Fourier transform of
-M's cyclic diagonals; the two routes agree through an exact root-of-unity
-twist.
+trace pairing with every word is one FFT along M's shifted diagonals; a
+second, independent route solves for the same coefficients from M's diagonal
+slices, and the two agree through an exact root-of-unity twist.
 """
 
 import numpy as np
@@ -23,12 +23,12 @@ def main():
     n = 5
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
-    # route one: trace inner products against each word
+    # route one: the trace pairing with each word, as one FFT of the diagonals
     sc = schwinger_coeffs(m)
     err = np.max(np.abs(schwinger_reconstruct(sc) - m))
-    print(f"trace route: reconstruction error {err:.2e}")
+    print(f"word-DFT route: reconstruction error {err:.2e}")
 
-    # route two: Fourier transform of the cyclic diagonals
+    # route two: Fourier solve on the diagonal slices
     sliced = diagonal_slice_decomposition(m)
     rebuilt = sum(
         sliced.coeffs[k, l] * to_dense(weyl_word(n, k, l))

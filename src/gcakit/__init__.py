@@ -24,6 +24,7 @@ from .errors import (
     IrrationalFlux,
     IrrationalPhase,
     NotAntisymmetric,
+    NotFinite,
     NotHermitian,
     NotReal,
     UnknownName,
@@ -159,5 +160,5 @@ __all__ = [
     "BadOrder", "DegenerateBlock", "InconsistentOrders", "InvalidFactorSet",
     "IrrationalPhase", "UnknownName", "ZeroVector", "EvenGeneratorCount",
     "BadDeterminant", "UnsupportedTransform", "IrrationalFlux", "NotReal",
-    "NotHermitian", "EvenDimension", "DenominatorOverflow",
+    "NotHermitian", "EvenDimension", "DenominatorOverflow", "NotFinite",
 ]

@@ -24,6 +24,7 @@ __all__ = [
     "NotHermitian",
     "EvenDimension",
     "DenominatorOverflow",
+    "NotFinite",
 ]
 
 
@@ -101,3 +102,8 @@ class EvenDimension(GcaError):
 
 class DenominatorOverflow(GcaError):
     """A common phase denominator exceeds 2**62, the bound of the int64 exponents."""
+
+
+class NotFinite(GcaError):
+    """Dense input holds NaN, infinity or an entry of infinite modulus, or its
+    transform leaves the float range."""

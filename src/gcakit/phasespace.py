@@ -21,8 +21,8 @@ from .errors import (
     BadOrder,
     DimensionMismatch,
     EvenDimension,
-    GcaError,
     IrrationalFlux,
+    NotFinite,
     NotHermitian,
     NotReal,
     UnsupportedTransform,
@@ -61,8 +61,42 @@ def weyl_word(order: int, k: int, l: int) -> MonomialMatrix:
     return (shift(order) ** k) @ (clock(order) ** l)
 
 
+def _square_dense(m) -> np.ndarray:
+    """Complex array of a dense entry point's input: square, nonempty, finite."""
+    dense = to_dense(m)
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or dense.size == 0:
+        raise DimensionMismatch(f"need a nonempty square matrix, got shape {dense.shape}")
+    return _finite(dense, "matrix entries must be finite")
+
+
+def _finite(arr: np.ndarray, what: str = "transform leaves the float range") -> np.ndarray:
+    # |z| too: a finite z with |z| = inf would make every tolerance scale infinite
+    if not np.isfinite(np.abs(arr)).all():
+        raise NotFinite(what)
+    return arr
+
+
 # ---------------------------------------------------------------------------
-# expansion over the N^2 words A^k B^l
+# expansion over the N^2 words A^k B^l, and the DFT kernel behind it
+
+def _diagonals(x: np.ndarray) -> np.ndarray:
+    """y[k, c] = x[(c-k) % N, c], the k-th shifted diagonal; its own inverse."""
+    c = np.arange(x.shape[0])
+    return x[(c - c[:, None]) % x.shape[0], c]
+
+
+@np.errstate(all="ignore")
+def _word_dft(dense: np.ndarray) -> np.ndarray:
+    """coeffs[k, l] = (1/N) sum_c w^(-lc) M[(c-k) % N, c], because the word
+    A^k B^l holds w^(lc) at [(c-k) % N, c]: one gather and one FFT in all."""
+    return _finite(np.fft.fft(_diagonals(dense), axis=1, norm="forward"))
+
+
+@np.errstate(all="ignore")
+def _word_idft(coeffs: np.ndarray) -> np.ndarray:
+    """The matrix sum_kl coeffs[k, l] A^k B^l; inverts _word_dft."""
+    return _diagonals(_finite(np.fft.ifft(coeffs, axis=1, norm="forward")))
+
 
 @dataclass(frozen=True, slots=True)
 class SchwingerCoeffs:
@@ -78,34 +112,15 @@ def schwinger_coeffs(m, order: int | None = None) -> SchwingerCoeffs:
     The words are trace-orthogonal with norm N, so this inverts the sum
     M = sum_kl mu_kl A^k B^l exactly.
     """
-    dense = to_dense(m)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise DimensionMismatch(f"need a square matrix, got shape {dense.shape}")
+    dense = _square_dense(m)
     n = dense.shape[0]
     if order is not None and order != n:
         raise DimensionMismatch(f"matrix is {n}-dimensional, order given as {order}")
-    # (A^k B^l)[(c-k)%n, c] = w^(lc), so the trace pairing reads one shifted
-    # diagonal of M against one character
-    cols = np.arange(n)
-    w = np.exp(2j * np.pi / n)
-    coeffs = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        diag = dense[(cols - k) % n, cols]
-        for l in range(n):
-            coeffs[k, l] = np.sum(w ** (-l * cols) * diag) / n
-    return SchwingerCoeffs(order=n, coeffs=coeffs)
+    return SchwingerCoeffs(order=n, coeffs=_word_dft(dense))
 
 
 def schwinger_reconstruct(sc: SchwingerCoeffs) -> np.ndarray:
-    n = sc.order
-    out = np.zeros((n, n), dtype=complex)
-    cols = np.arange(n)
-    w = np.exp(2j * np.pi / n)
-    for k in range(n):
-        rows = (cols - k) % n
-        for l in range(n):
-            out[rows, cols] += sc.coeffs[k, l] * w ** (l * cols)
-    return out
+    return _word_idft(sc.coeffs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,23 +138,17 @@ class DiagonalSliceDecomposition:
     coeffs: np.ndarray
 
 
+@np.errstate(all="ignore")
 def diagonal_slice_decomposition(m) -> DiagonalSliceDecomposition:
-    dense = to_dense(m)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise DimensionMismatch(f"need a square matrix, got shape {dense.shape}")
+    """The word expansion by a route independent of schwinger_coeffs' kernel."""
+    dense = _square_dense(m)
     n = dense.shape[0]
-    rows = np.arange(n)
-    r = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        r[:, j] = dense[rows, (rows + j) % n]
+    k = np.arange(n)[:, None]
+    r = dense[k, (k + k.T) % n]
     # S[k, l] = w^(kl); each slice is S times its coefficient vector, and a
     # DFT of the slice columns inverts that: c = fft(r, axis=0) / n
     c = np.fft.fft(r, axis=0) / n
-    w = np.exp(2j * np.pi / n)
-    coeffs = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            coeffs[k, l] = w ** (-(k * l)) * c[l, k]
+    coeffs = _finite(np.exp(-2j * np.pi * (k * k.T % n) / n) * c.T)
     return DiagonalSliceDecomposition(order=n, r=r, c=c, coeffs=coeffs)
 
 
@@ -158,6 +167,7 @@ class WignerTable:
         arr = np.asarray(self.w)
         if arr.shape != (d, d):
             raise DimensionMismatch(f"table must be {d}x{d}, got {arr.shape}")
+        _finite(arr, "table entries must be finite")
         if np.iscomplexobj(arr):
             if np.max(np.abs(arr.imag)) > 1e-9 * (1.0 + np.max(np.abs(arr))):
                 raise NotReal("table entries must be real")
@@ -165,43 +175,36 @@ class WignerTable:
         object.__setattr__(self, "w", arr.astype(float))
 
 
+def _wigner_twist(nu: int) -> np.ndarray:
+    """Exact roots w^E, E[xe, eta] = xe eta (1/2 - 1) - xe nu mod d: they turn
+    sum v w^(xe eta/2) B_s^xe A^eta, with the symmetric clock B_s = w^(-nu) B,
+    into a sum over the words A^eta B^xe (1/2 is (d+1)/2 mod d)."""
+    d = 2 * nu + 1
+    roots = np.array([Phase(j, d).to_complex() for j in range(d)])
+    xe = np.arange(d)[:, None]
+    return roots[(xe * xe.T * ((d + 1) // 2 - 1) - xe * nu) % d]
+
+
+@np.errstate(all="ignore")
 def wigner_forward(table: WignerTable) -> np.ndarray:
     """Operator for a table:  H = sum v_xe w^(xe*eta/2) B^xe A^eta with
     v = (1/d) sum_kl w_kl w^(-xe k - eta l), using the symmetric clock."""
-    d = 2 * table.nu + 1
-    inv2 = (d + 1) // 2
-    v = np.fft.fft2(table.w) / d
-    w = np.exp(2j * np.pi / d)
-    cols = np.arange(d)
-    h = np.zeros((d, d), dtype=complex)
-    for xe in range(d):
-        for eta in range(d):
-            rows = (cols - eta) % d
-            h[rows, cols] += v[xe, eta] * w ** (xe * eta * inv2) * w ** (xe * (rows - table.nu))
-    return h
+    v = np.fft.fft2(table.w) / (2 * table.nu + 1)
+    return _word_idft((v * _wigner_twist(table.nu)).T)
 
 
+@np.errstate(all="ignore")
 def wigner_inverse(h, tol: float = DEFAULT_TOL) -> WignerTable:
     """Table for a hermitian operator; exact inverse of wigner_forward."""
-    dense = to_dense(h)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise DimensionMismatch(f"need a square matrix, got shape {dense.shape}")
+    dense = _square_dense(h)
     d = dense.shape[0]
     if d % 2 == 0:
         raise EvenDimension(f"dimension must be odd, got {d}")
-    scale = 1.0 + np.max(np.abs(dense))
-    if max_abs_diff(dense, dense.conj().T) > tol * scale:
+    if max_abs_diff(dense, dense.conj().T) > tol * (1.0 + np.max(np.abs(dense))):
         raise NotHermitian("operator must be hermitian")
     nu = (d - 1) // 2
-    inv2 = (d + 1) // 2
-    w = np.exp(2j * np.pi / d)
-    cols = np.arange(d)
-    v = np.empty((d, d), dtype=complex)
-    for xe in range(d):
-        for eta in range(d):
-            tr = np.sum(w ** (-xe * (cols - nu)) * dense[cols, (cols + eta) % d])
-            v[xe, eta] = w ** (-(xe * eta * inv2)) * tr / d
-    table = d * np.fft.ifft2(v)
+    v = _word_dft(dense).T * _wigner_twist(nu).conj()
+    table = _finite(d * np.fft.ifft2(v))
     if np.max(np.abs(table.imag)) > tol * (1.0 + np.max(np.abs(table))):
         raise NotReal("reconstructed table has a complex residue")
     return WignerTable(nu=nu, w=table.real)
@@ -249,15 +252,11 @@ def compose_params(p1: CanonicalParams, p2: CanonicalParams) -> CanonicalParams:
 
 
 def canonical_pair(p: CanonicalParams) -> tuple[MonomialMatrix, MonomialMatrix]:
-    """The transformed pair, with its algebra re-checked exactly."""
-    order = p.order
-    a, b = shift(order), clock(order)
-    ap = ((a**p.k) @ (b**p.l)).scale(Phase(-p.k * p.l, 2 * order))
-    bp = ((a**p.m) @ (b**p.n)).scale(Phase(-p.m * p.n, 2 * order))
-    if not (ap**order).is_identity() or not (bp**order).is_identity():
-        raise GcaError("transformed pair lost its order")
-    if ap @ bp != (bp @ ap).scale(Phase(1, order)):
-        raise GcaError("transformed pair lost its commutation phase")
+    """The transformed pair.  Determinant 1 mod N keeps the order N and the
+    commutation phase w of (A, B); tests check both exactly up to N = 10."""
+    a, b = shift(p.order), clock(p.order)
+    ap = ((a**p.k) @ (b**p.l)).scale(Phase(-p.k * p.l, 2 * p.order))
+    bp = ((a**p.m) @ (b**p.n)).scale(Phase(-p.m * p.n, 2 * p.order))
     return ap, bp
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -284,3 +285,24 @@ def test_verify_rejects_a_denominator_past_2_62():
     code, out, err = call(["verify", json.dumps(doc)])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "2**62" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wigner", "inv", "[[NaN,0,0],[0,1,0],[0,0,1]]"],
+        ["wigner", "fwd", "[[NaN,0,0],[0,1,0],[0,0,1]]"],
+        ["decompose", "[[Infinity,0],[0,1]]"],
+        ["decompose", "[[1e308,1e308],[1e308,1e308]]"],
+        ["wigner", "fwd", json.dumps(np.full((3, 3), 1e308).tolist())],
+    ],
+)
+def test_non_finite_matrices_exit_two_with_one_line(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = call(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    # rejected at the boundary, not by the serializer after the transform
+    assert "must be finite" in err or "float range" in err
+    assert caught == []

@@ -2,10 +2,14 @@
 changes of the clock/shift pair, and magnetic translations."""
 
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gcakit import (
     BadDeterminant,
@@ -16,10 +20,12 @@ from gcakit import (
     GcaError,
     IrrationalFlux,
     MagneticLattice,
+    NotFinite,
     NotHermitian,
     NotReal,
     ONE,
     Phase,
+    SchwingerCoeffs,
     UnsupportedTransform,
     WignerTable,
     bloch_phase,
@@ -33,6 +39,7 @@ from gcakit import (
     schwinger_coeffs,
     schwinger_reconstruct,
     shift,
+    symmetric_pair,
     to_dense,
     weyl_word,
     wigner_forward,
@@ -174,6 +181,140 @@ def test_inverse_input_validation():
         wigner_inverse(np.triu(np.ones((3, 3))))
 
 
+def trace_route_coeffs(m):
+    """mu_kl = Tr[(A^k B^l)^dag M] / N, one dense word at a time."""
+    n = m.shape[0]
+    return np.array(
+        [[np.trace(to_dense(weyl_word(n, k, l)).conj().T @ m) / n for l in range(n)] for k in range(n)]
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_coefficients_match_the_trace_route(n):
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    want = trace_route_coeffs(m)
+    assert max_abs_diff(schwinger_coeffs(m).coeffs, want) < 1e-12
+    assert max_abs_diff(diagonal_slice_decomposition(m).coeffs, want) < 1e-12
+
+
+def wigner_forward_oracle(table):
+    """H = sum v[xe, eta] w^(xe eta/2) B_s^xe A^eta, summed word by word from
+    dense matrix powers of the symmetric pair, with v = F table F / d."""
+    d = table.shape[0]
+    nu = (d - 1) // 2
+    pair = symmetric_pair(nu)
+    a, b = to_dense(pair.a), to_dense(pair.b)
+    j = np.arange(d)
+    f = np.exp(-2j * np.pi * np.outer(j, j) / d)
+    v = f @ table @ f / d
+    half = (d + 1) // 2  # 1/2 mod d
+    h = np.zeros((d, d), dtype=complex)
+    for xe in range(d):
+        for eta in range(d):
+            twist = np.exp(2j * np.pi * (xe * eta * half % d) / d)
+            word = np.linalg.matrix_power(b, xe) @ np.linalg.matrix_power(a, eta)
+            h += v[xe, eta] * twist * word
+    return h
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 9])
+def test_forward_matches_the_dense_word_sum(d):
+    table = np.random.default_rng(d).normal(size=(d, d))
+    want = wigner_forward_oracle(table)
+    got = wigner_forward(WignerTable(nu=(d - 1) // 2, w=table))
+    assert max_abs_diff(got, want) < 1e-10
+    assert max_abs_diff(wigner_inverse(want).w, table) < 1e-10
+
+
+def test_non_finite_input_is_rejected_without_warnings():
+    bad = np.eye(3)
+    bad[0, 0] = np.nan
+    # finite parts but |z| = inf: every tolerance scale would be infinite
+    big = np.array([[1.5e308 + 1.5e308j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NotFinite):
+                wigner_inverse(np.full((3, 3), value))
+            with pytest.raises(NotFinite):
+                WignerTable(nu=1, w=np.full((3, 3), value))
+        with pytest.raises(NotFinite):
+            WignerTable(nu=0, w=big)
+        for entry in (schwinger_coeffs, diagonal_slice_decomposition, wigner_inverse):
+            for m in (bad, bad * 1j, big):
+                with pytest.raises(NotFinite):
+                    entry(m)
+
+
+def test_overflowing_transforms_raise_not_finite_without_warnings():
+    huge = np.full((3, 3), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in (schwinger_coeffs, diagonal_slice_decomposition, wigner_inverse):
+            with pytest.raises(NotFinite):
+                entry(huge)
+        with pytest.raises(NotFinite):
+            wigner_forward(WignerTable(nu=1, w=huge))
+        with pytest.raises(NotFinite):
+            schwinger_reconstruct(SchwingerCoeffs(order=3, coeffs=huge))
+
+
+def test_empty_matrix_is_rejected():
+    for entry in (schwinger_coeffs, diagonal_slice_decomposition, wigner_inverse):
+        with pytest.raises(DimensionMismatch):
+            entry(np.zeros((0, 0)))
+
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+finite = {"allow_nan": False, "allow_infinity": False}
+
+
+@st.composite
+def square_matrices(draw, sizes):
+    n = draw(sizes)
+    real = draw(hnp.arrays(float, (n, n), elements=st.floats(-1e3, 1e3, **finite)))
+    imag = draw(hnp.arrays(float, (n, n), elements=st.floats(-1e3, 1e3, **finite)))
+    return real + 1j * imag
+
+
+@PROPERTY
+@given(square_matrices(st.integers(1, 24)))
+def test_word_expansion_round_trips(m):
+    scale = 1.0 + np.max(np.abs(m))
+    sc = schwinger_coeffs(m)
+    assert max_abs_diff(schwinger_reconstruct(sc), m) < 1e-12 * scale
+    assert max_abs_diff(diagonal_slice_decomposition(m).coeffs, sc.coeffs) < 1e-12 * scale
+
+
+@PROPERTY
+@given(
+    st.integers(0, 12).flatmap(
+        lambda nu: hnp.arrays(float, (2 * nu + 1,) * 2, elements=st.floats(-1e3, 1e3, **finite))
+    )
+)
+def test_wigner_round_trips(table):
+    nu = (table.shape[0] - 1) // 2
+    back = wigner_inverse(wigner_forward(WignerTable(nu=nu, w=table)))
+    assert back.nu == nu
+    assert max_abs_diff(back.w, table) < 1e-11 * (1.0 + np.max(np.abs(table)))
+
+
+@PROPERTY
+@given(
+    st.integers(1, 24).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(0, n - 1))
+    )
+)
+def test_single_word_expands_to_its_delta(nkl):
+    n, k, l = nkl
+    word = to_dense(weyl_word(n, k, l))
+    delta = np.zeros((n, n))
+    delta[k, l] = 1
+    assert max_abs_diff(schwinger_coeffs(word).coeffs, delta) < 1e-12
+    assert max_abs_diff(diagonal_slice_decomposition(word).coeffs, delta) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # canonical changes of the pair
 
@@ -202,9 +343,13 @@ def test_swap_params_exchange_the_pair():
 
 
 def test_transformed_pair_keeps_the_algebra():
-    for order in (2, 4, 6):
-        for p in valid_tuples(order)[:20]:
-            ap, bp = canonical_pair(p)
+    # canonical_pair does not re-check its output: every determinant-1 tuple
+    # up to order 10, m = 0 included, is checked here
+    for order in (2, 4, 6, 8, 10):
+        for k, l, m, n in itertools.product(range(order), repeat=4):
+            if (k * n - l * m) % order != 1:
+                continue
+            ap, bp = canonical_pair(CanonicalParams(k=k, l=l, m=m, n=n, order=order))
             assert (ap**order).is_identity()
             assert (bp**order).is_identity()
             assert ap @ bp == (bp @ ap).scale(Phase(1, order))
