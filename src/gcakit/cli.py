@@ -9,6 +9,7 @@ flux arguments accept a file path, '-' for stdin, or an inline JSON string.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -413,13 +414,12 @@ def _cmd_verify(args):
     if isinstance(nhat, bool) or not isinstance(nhat, int):
         raise ValueError("document field 'nhat' must be an integer")
     t = validate_tmatrix(_int_matrix(doc.get("t")), nhat)
-    orders_field = doc.get("orders")
-    if orders_field is None:
+    # verify_relations validates the entries
+    orders = doc.get("orders")
+    if orders is None:
         orders = (nhat,) * t.n
-    else:
-        if not isinstance(orders_field, list):
-            raise ValueError("document field 'orders' must be a list")
-        orders = tuple(int(x) for x in orders_field)
+    elif not isinstance(orders, list):
+        raise ValueError("document field 'orders' must be a list")
     gens_field = doc.get("gens")
     if not isinstance(gens_field, list):
         raise ValueError("document field 'gens' must be a list of matrix documents")
@@ -480,12 +480,39 @@ def _cmd_selftest(args):
 # ---------------------------------------------------------------------------
 # parser
 
+class _ParserExit(Exception):
+    """Raised where argparse would print and exit: code 0 carries the help
+    text for stdout, code 2 the one-line usage error for stderr."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
+        self.text = text
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that writes nothing itself, so that run() can send
+    help and usage errors to the streams it was given."""
+
+    def print_help(self, file=None):
+        raise _ParserExit(0, self.format_help())
+
+    def error(self, message):
+        first = message.partition("\n")[0]
+        raise _ParserExit(2, f"error: {first}\n")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser, built on the first run() and reused for the process.
+
+    Parsing leaves it unchanged: every call gets a fresh namespace.
+    """
+    parser = _Parser(
         prog="gcakit",
         description="construct and check generalized Clifford algebra representations",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--tol",
         type=float,
@@ -570,11 +597,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = _build_parser().parse_args(argv)
+    except _ParserExit as exc:
+        (stdout if exc.code == 0 else stderr).write(exc.text)
+        return exc.code
 
     if args.tol is None:
         env = os.environ.get("GCAKIT_TOL")

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .matrices import (
     DEFAULT_TOL,
+    MAX_DEN,
     MonomialMatrix,
     _check_den,
     _phase_exponents,
@@ -67,6 +68,23 @@ __all__ = [
 ]
 
 
+def _generator_orders(orders) -> tuple[int, ...]:
+    """Generator orders as a tuple of ints, each an int or numpy integer >= 1.
+
+    A bool or a float is rejected rather than read as a number: an order
+    of 0 would make e^0 = 1 hold vacuously, and int(2.9) = 2 would check a
+    relation nobody asked for.
+    """
+    out = []
+    for nj in orders:
+        if isinstance(nj, bool) or not isinstance(nj, (int, np.integer)):
+            raise BadOrder(f"generator order must be an integer, got {nj!r}")
+        if nj < 1:
+            raise BadOrder(f"generator order must be >= 1, got {nj}")
+        out.append(int(nj))
+    return tuple(out)
+
+
 @dataclass(frozen=True, slots=True)
 class GcaSpec:
     """Commutation matrix plus generator orders, validated for consistency.
@@ -80,13 +98,11 @@ class GcaSpec:
     orders: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "orders", _generator_orders(self.orders))
         if len(self.orders) != self.t.n:
             raise DimensionMismatch(
                 f"{len(self.orders)} orders for an n = {self.t.n} matrix"
             )
-        for nj in self.orders:
-            if nj < 1:
-                raise BadOrder(f"generator order must be >= 1, got {nj}")
         nhat = self.t.nhat
         for j in range(self.t.n):
             for k in range(j + 1, self.t.n):
@@ -184,31 +200,19 @@ def verify_relations(gens, t: TMatrix, orders, tol: float = DEFAULT_TOL) -> Veri
     switches the whole check to dense arithmetic with a scale-aware tol.
     """
     n, nhat = t.n, t.nhat
-    orders = tuple(int(x) for x in orders)
+    orders = _generator_orders(orders)
     if len(gens) != n or len(orders) != n:
         raise DimensionMismatch(
             f"{len(gens)} generators / {len(orders)} orders for an n = {n} matrix"
         )
-    checks = []
     if all(isinstance(g, MonomialMatrix) for g in gens):
-        for j in range(n):
-            for k in range(j + 1, n):
-                want = Phase(t.t[j][k], nhat)
-                lhs = gens[j] @ gens[k]
-                rhs = gens[k] @ gens[j]
-                measured = (lhs @ rhs.inverse()).scalar_phase()
-                ok = lhs == rhs.scale(want)
-                detail = (
-                    f"measured {measured}, want {want}"
-                    if measured is not None
-                    else "commutator is not scalar"
-                )
-                checks.append(Check(f"commute[{j},{k}]", ok, detail))
+        checks = _commutation_checks(gens, t)
         for j in range(n):
             ok = (gens[j] ** orders[j]).is_identity()
             checks.append(Check(f"order[{j}]", ok, f"e_{j}^{orders[j]} = 1"))
         return VerificationReport(tuple(checks))
 
+    checks = []
     dense = [to_dense(g) for g in gens]
     dim = dense[0].shape[0]
     for g in dense:
@@ -234,6 +238,56 @@ def verify_relations(gens, t: TMatrix, orders, tol: float = DEFAULT_TOL) -> Veri
             Check(f"order[{j}]", dev <= tol * scale, f"deviation {dev:.3e}", deviation=dev)
         )
     return VerificationReport(tuple(checks))
+
+
+# rows x dim bound on the arrays of one block of commutation checks
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _commutation_checks(gens, t: TMatrix) -> list[Check]:
+    """The commute[j,k] checks of monomial generators, exactly.
+
+    Every generator's target and exponent arrays are stacked over one
+    denominator: the lcm of nhat and the generators' denominators, taken in
+    lowest terms when the stored ones would pass MAX_DEN.  Each pair
+    j < k is a row: e_j e_k and e_k e_j for a block of rows are one gather
+    each, and the pair passes when their targets agree and their exponents
+    differ by t_jk * den/nhat in every column.
+    """
+    n, nhat = t.n, t.nhat
+    if n == 0:
+        return []
+    dim = gens[0].dim
+    for g in gens:
+        if g.dim != dim:
+            raise DimensionMismatch(f"dims {dim} != {g.dim}")
+    den = lcm(nhat, *(g.den for g in gens))
+    if den > MAX_DEN:
+        gens = [g._reduced() for g in gens]
+        den = _check_den(lcm(nhat, *(g.den for g in gens)))
+    tgt = np.stack([g._target for g in gens])
+    exp = np.stack([g._exp_over(den) for g in gens])
+    rows_j, rows_k = np.triu_indices(n, 1)
+    step = max(1, _BLOCK_ENTRIES // dim)
+    checks = []
+    for lo in range(0, len(rows_j), step):
+        jj, kk = rows_j[lo:lo + step], rows_k[lo:lo + step]
+        tj, tk, ej, ek = tgt[jj], tgt[kk], exp[jj], exp[kk]
+        # row r holds e_j e_k (target tj[tk]) and e_k e_j (target tk[tj])
+        same = (np.take_along_axis(tj, tk, 1) == np.take_along_axis(tk, tj, 1)).all(axis=1)
+        lhs = (np.take_along_axis(ej, tk, 1) + ek) % den
+        rhs = (np.take_along_axis(ek, tj, 1) + ej) % den
+        diff = (lhs - rhs) % den
+        scalar = same & (diff == diff[:, :1]).all(axis=1)
+        for j, k, is_scalar, d in zip(jj.tolist(), kk.tolist(), scalar.tolist(), diff[:, 0].tolist()):
+            want = Phase(t.t[j][k], nhat)
+            if is_scalar:
+                measured = want if d == want.num * (den // want.den) else Phase(d, den)
+                check = Check(f"commute[{j},{k}]", measured is want, f"measured {measured}, want {want}")
+            else:
+                check = Check(f"commute[{j},{k}]", False, "commutator is not scalar")
+            checks.append(check)
+    return checks
 
 
 def verify_gca(rep: Representation) -> VerificationReport:

@@ -43,61 +43,69 @@ __all__ = [
 ]
 
 
-def _emit(obj, out: list, indent: str, level: int, pretty: bool) -> None:
-    if obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError(f"cannot serialize non-finite value {x}")
-        text = format(x, ".17g")
-        out.append(text)
-    elif isinstance(obj, dict):
-        _emit_items(
-            obj.items(), out, indent, level, pretty, "{", "}", key=True
-        )
-    elif isinstance(obj, (list, tuple)):
-        _emit_items(obj, out, indent, level, pretty, "[", "]", key=False)
-    else:
-        raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
+_encode_str = json.encoder.encode_basestring_ascii
 
 
-def _emit_items(items, out, indent, level, pretty, opener, closer, key) -> None:
-    items = list(items)
-    if not items:
-        out.append(opener + closer)
-        return
-    out.append(opener)
-    pad = indent * (level + 1)
-    for i, item in enumerate(items):
-        if pretty:
-            out.append("\n" + pad)
-        if key:
-            k, v = item
-            if not isinstance(k, str):
-                raise ValueError(f"object keys must be strings, got {k!r}")
-            out.append(json.dumps(k, ensure_ascii=True))
-            out.append(": " if pretty else ":")
-            _emit(v, out, indent, level + 1, pretty)
-        else:
-            _emit(item, out, indent, level + 1, pretty)
-        if i + 1 < len(items):
-            out.append(",")
-    if pretty:
-        out.append("\n" + indent * level)
-    out.append(closer)
+def _native(obj):
+    """obj as a plain str, int, float, dict or list: the cases of a subclass
+    or a numpy scalar."""
+    if isinstance(obj, str):
+        return str.__str__(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, dict):
+        return dict(obj.items())
+    if isinstance(obj, (list, tuple)):
+        return list(obj)
+    raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _key(k) -> str:
+    if not isinstance(k, str):
+        raise ValueError(f"object keys must be strings, got {k!r}")
+    return _encode_str(k)
+
+
+def _encode(obj, pad: str | None) -> str:
+    """One JSON value.  pad is None for compact output, else the indent of
+    the line obj starts on; members go one level ("  ") deeper."""
+    t = type(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is str:
+        return _encode_str(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        if pad is None:
+            return "{" + ",".join([_key(k) + ":" + _encode(v, None) for k, v in obj.items()]) + "}"
+        inner = pad + "  "
+        items = [_key(k) + ": " + _encode(v, inner) for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        if pad is None:
+            return "[" + ",".join([_encode(v, None) for v in obj]) + "]"
+        inner = pad + "  "
+        items = [_encode(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if t is float:
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite value {obj}")
+        return format(obj, ".17g")
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    return _encode(_native(obj), pad)
 
 
 def emit_json(obj, pretty: bool = False) -> str:
     """Serialize with stable key order and %.17g floats; trailing newline."""
-    out: list[str] = []
-    _emit(obj, out, "  ", 0, pretty)
-    out.append("\n")
-    return "".join(out)
+    return _encode(obj, "" if pretty else None) + "\n"
 
 
 def matrix_to_doc(m) -> dict:

@@ -1,12 +1,23 @@
-"""The command-line entry point, driven in-process."""
+"""The command-line entry point, driven in-process.
 
+The digests in golden_cli.json are re-recorded, only by a change that means
+to alter the documents, with
+
+    PYTHONPATH=src python tests/test_cli.py --record
+"""
+
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import gcakit
 from gcakit import FactorSet, MagneticLattice, max_abs_diff
 from gcakit.cli import run
 from gcakit.serialize import emit_json, factor_set_to_doc, flux_to_doc, matrix_to_doc
@@ -210,10 +221,54 @@ def test_malformed_input_is_exit_two():
     assert code == 2 and err.startswith("error:")
 
 
-def test_argparse_errors_pass_through():
+def test_argparse_errors_pass_through(capsys):
     assert call([])[0] == 2
     assert call(["nosuchcommand"])[0] == 2
     assert call(["clifford"])[0] == 2
+    for argv in ([], ["nosuchcommand"], ["clifford"], ["clifford", "x"], ["bogus"],
+                 ["rep", "[[0,1],[-1,0]]"], ["snf", "[[0,1],[-1,0]]", "--nhat"]):
+        code, out, err = call(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert "invalid int value: 'x'" in call(["clifford", "x"])[2]
+    assert "required: --nhat" in call(["rep", "[[0,1],[-1,0]]"])[2]
+    # help goes to the stream that was passed in
+    for argv in (["--help"], ["clifford", "--help"], ["verify", "-h"]):
+        code, out, err = call(argv)
+        assert code == 0 and err == "" and out.startswith("usage: gcakit"), argv
+    # nothing reached the process streams
+    assert capsys.readouterr() == ("", "")
+
+
+def test_parser_is_built_once_per_process():
+    script = (
+        "import io\n"
+        "import gcakit.cli as cli\n"
+        "before = cli._build_parser.cache_info().misses\n"
+        "for argv in (['catalog'], ['clifford', 'x'], ['--help'], ['clifford', '3']) * 10:\n"
+        "    cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO())\n"
+        "info = cli._build_parser.cache_info()\n"
+        "print(before, info.misses, info.hits)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gcakit.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    # importing builds no parser; forty calls build it once
+    assert proc.stdout.split() == ["0", "1", "39"]
+
+
+def test_usage_errors_and_help_leave_the_parser_unchanged():
+    t = "[[0,1,2],[-1,0,3],[-2,-3,0]]"
+    calls = (["rep", t, "--nhat", "6", "--pretty"], ["clifford", "3", "--tol", "1e-3"])
+    first = [call(argv) for argv in calls]
+    # half-parsed options, a bad value, unknown commands and help in between
+    for argv in (["rep", t, "--orders", "3,3,3", "--pretty"], ["rep", t, "--nhat", "x"],
+                 ["clifford", "--tol", "1e-3"], ["bogus"], [], ["--help"], ["rep", "--help"]):
+        call(argv)
+    assert [call(argv) for argv in calls] == first
+    # --orders from the half-parsed call did not stick
+    assert json.loads(call(["rep", t, "--nhat", "6"])[1])["orders"] == [6, 6, 6]
 
 
 def test_tolerance_environment(monkeypatch):
@@ -306,3 +361,83 @@ def test_non_finite_matrices_exit_two_with_one_line(argv):
     # rejected at the boundary, not by the serializer after the transform
     assert "must be finite" in err or "float range" in err
     assert caught == []
+
+
+@pytest.mark.parametrize("orders", [[0, 0], [2.9, -2], [-2, 2], [True, 2], [2.0, 2], ["2", 2]])
+def test_verify_rejects_orders_that_are_not_positive_integers(orders):
+    doc = {"nhat": 2, "t": [[0, 1], [-1, 0]], "orders": orders,
+           "gens": [matrix_to_doc(g) for g in clifford_generators(2).gens]}
+    code, out, err = call(["verify", json.dumps(doc)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: generator order must be") and err.count("\n") == 1
+
+
+def test_verify_orders_default_to_nhat():
+    doc = {"nhat": 4, "t": [[0, 2], [-2, 0]],
+           "gens": [matrix_to_doc(g) for g in clifford_generators(2).gens]}
+    code, out, _ = call(["verify", json.dumps(doc)])
+    assert code == 0
+    assert [c["detail"] for c in json.loads(out)["checks"]][1:] == ["e_0^4 = 1", "e_1^4 = 1"]
+
+
+GOLDEN_CLI = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+
+# the README examples; each is recorded as given and in its --pretty form
+README_EXAMPLES = [
+    (["clifford", "3"], None),
+    (["snf", "[[0,1],[-1,0]]", "--nhat", "4"], None),
+    (["ordered", "3", "4"], None),
+    (["lmat", "--lam", "3,4", "--order", "2"], None),
+    (["canonical", "0", "1", "1", "0", "--order", "2"], None),
+    (["decompose", "[[1,2],[3,4]]"], None),
+    (["magnetic", '{"f12":[1,3],"f13":[0,1],"f23":[0,1]}', "--steps", "1,1,0"], None),
+    (["rep", "-", "--nhat", "6"], "[[0,1],[-1,0]]\n"),
+]
+
+
+def _golden_cases():
+    return [
+        {"argv": argv + extra, "stdin": stdin}
+        for argv, stdin in README_EXAMPLES
+        for extra in ([], ["--pretty"])
+    ]
+
+
+def _run_case(case):
+    saved = sys.stdin
+    if case["stdin"] is not None:
+        sys.stdin = io.StringIO(case["stdin"])
+    try:
+        code, out, err = call(case["argv"])
+    finally:
+        sys.stdin = saved
+    return code, hashlib.sha256(out.encode()).hexdigest(), err
+
+
+def test_readme_examples_print_the_recorded_bytes():
+    with open(GOLDEN_CLI, encoding="utf-8") as fh:
+        golden = json.load(fh)["cases"]
+    assert [{"argv": c["argv"], "stdin": c["stdin"]} for c in golden] == _golden_cases()
+    for case in golden:
+        assert _run_case(case) == (case["code"], case["sha256"], ""), case["argv"]
+
+
+def _record():
+    cases = []
+    for case in _golden_cases():
+        code, digest, err = _run_case(case)
+        if err:
+            raise SystemExit(f"{case['argv']}: {err}")
+        cases.append({**case, "code": code, "sha256": digest})
+    with open(GOLDEN_CLI, "w", encoding="utf-8") as fh:
+        json.dump({"about": "sha256 of the stdout of gcakit for the README examples",
+                   "cases": cases}, fh, indent=1)
+        fh.write("\n")
+    print(f"recorded {len(cases)} cases in {GOLDEN_CLI}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--record"]:
+        _record()
+    else:
+        raise SystemExit("usage: python tests/test_cli.py --record")

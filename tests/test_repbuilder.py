@@ -3,7 +3,7 @@
 import dataclasses
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -38,6 +38,9 @@ from gcakit import (
     verify_gca,
     verify_relations,
 )
+from gcakit.matrices import MonomialMatrix
+from gcakit.report import Check, VerificationReport
+from gcakit import repbuilder
 from gcakit.repbuilder import _phi_word_recursive
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -524,3 +527,156 @@ def test_factor_set_denominator_past_2_62_is_rejected():
     table[((1,), (1,))] = Phase(1, 2**40 + 27)
     with pytest.raises(DenominatorOverflow):
         FactorSet((2,), table)
+
+
+# ---------------------------------------------------------------------------
+# row-batched exact verification against the per-pair loop it replaced
+
+
+def verify_relations_pairwise(gens, t, orders):
+    """The per-pair monomial verification, seven matrix operations a pair."""
+    n, nhat = t.n, t.nhat
+    checks = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            want = Phase(t.t[j][k], nhat)
+            lhs = gens[j] @ gens[k]
+            rhs = gens[k] @ gens[j]
+            measured = (lhs @ rhs.inverse()).scalar_phase()
+            ok = lhs == rhs.scale(want)
+            detail = (
+                f"measured {measured}, want {want}"
+                if measured is not None
+                else "commutator is not scalar"
+            )
+            checks.append(Check(f"commute[{j},{k}]", ok, detail))
+    for j in range(n):
+        ok = (gens[j] ** orders[j]).is_identity()
+        checks.append(Check(f"order[{j}]", ok, f"e_{j}^{orders[j]} = 1"))
+    return VerificationReport(tuple(checks))
+
+
+def random_t(draw, n, nhat):
+    raw = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            raw[j][k] = draw(st.integers(-nhat, nhat))
+            raw[k][j] = -raw[j][k]
+    return validate_tmatrix(raw, nhat)
+
+
+DENS = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 7, 30])
+
+
+@st.composite
+def monomial_generator_sets(draw):
+    """(gens, t, orders): arbitrary monomials, clock/shift words or a family."""
+    kind = draw(st.sampled_from(["random", "words", "clifford", "ordered"]))
+    if kind == "clifford":
+        rep = clifford_generators(draw(st.integers(1, 7)))
+        gens, t = list(rep.gens), rep.spec.t
+    elif kind == "ordered":
+        rep = ordered_gca_generators(draw(st.integers(1, 5)), draw(st.integers(2, 5)))
+        gens, t = list(rep.gens), rep.spec.t
+    else:
+        n, dim = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+        gens = []
+        for _ in range(n):
+            den = draw(DENS)
+            if kind == "random":
+                # small dims make scalar commutators likely, right or wrong
+                target = draw(st.permutations(range(dim)))
+                exp = draw(st.lists(st.integers(0, den - 1), min_size=dim, max_size=dim))
+                gens.append(MonomialMatrix.from_exponents(target, exp, den))
+            else:
+                word = shift(dim) ** draw(st.integers(0, dim)) @ clock(dim) ** draw(st.integers(0, dim))
+                gens.append(word.scale(Phase(draw(st.integers(0, den - 1)), den)))
+        t = None
+    if t is None or draw(st.booleans()):
+        # commutation data of the right shape, mostly wrong for these generators
+        t = random_t(draw, len(gens), draw(st.sampled_from([2, 3, 4, 6, 12, 60])))
+    orders = draw(st.lists(st.integers(1, 12), min_size=len(gens), max_size=len(gens)))
+    return gens, t, orders
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(monomial_generator_sets())
+def test_batched_verification_matches_the_pairwise_loop(case):
+    gens, t, orders = case
+    assert verify_relations(gens, t, orders) == verify_relations_pairwise(gens, t, orders)
+
+
+def test_blocks_of_pair_rows_give_the_same_report(monkeypatch):
+    # a bound of 8 entries splits clifford(7)'s 21 pairs at dim 8 into one row per block
+    gens = list(clifford_generators(7).gens)
+    gens[3] = gens[3].scale(IMAG)
+    t = anticommuting_t(7, 4)
+    want = verify_relations(gens, t, (4,) * 7)
+    monkeypatch.setattr(repbuilder, "_BLOCK_ENTRIES", 8)
+    assert verify_relations(gens, t, (4,) * 7) == want == verify_relations_pairwise(gens, t, (4,) * 7)
+    monkeypatch.setattr(repbuilder, "_BLOCK_ENTRIES", 24)
+    assert verify_relations(gens, t, (4,) * 7) == want
+
+
+def test_batched_verification_reports_each_kind_of_failure():
+    a, b = shift(4), clock(4)
+    gens = [a, b, a, MonomialMatrix(4, (1, 0, 2, 3), (ONE,) * 4)]
+    t = validate_tmatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], 4)
+    got = verify_relations(gens, t, (4, 4, 4, 2))
+    assert got == verify_relations_pairwise(gens, t, (4, 4, 4, 2))
+    assert got.checks[:6] == (
+        Check("commute[0,1]", True, "measured i, want i"),
+        Check("commute[0,2]", True, "measured 1, want 1"),
+        Check("commute[0,3]", False, "commutator is not scalar"),
+        Check("commute[1,2]", False, "measured -i, want 1"),
+        Check("commute[1,3]", False, "commutator is not scalar"),
+        Check("commute[2,3]", False, "commutator is not scalar"),
+    )
+
+
+def test_generator_set_denominator_past_2_62_is_rejected():
+    # every pair stays under the bound; the whole set, or the set with nhat, does not
+    p, q, r = 2**21 + 1, 2**21 + 3, 2**21 + 5
+    assert lcm(p, q) <= 2**62 and lcm(p, r) <= 2**62 and lcm(q, r) <= 2**62 < lcm(p, q, r)
+    gens = [MonomialMatrix.diagonal((Phase(1, d),)) for d in (p, q, r)]
+    t = validate_tmatrix([[0] * 3 for _ in range(3)], 2)
+    with pytest.raises(DenominatorOverflow):
+        verify_relations(gens, t, (1, 1, 1))
+    nhat = 2097161
+    assert lcm(p, q) <= 2**62 < lcm(nhat, p, q)
+    t = validate_tmatrix([[0, 0], [0, 0]], nhat)
+    with pytest.raises(DenominatorOverflow):
+        verify_relations(gens[:2], t, (1, 1))
+    # the same generators over a denominator that fits pass as before
+    assert verify_relations(gens[:2], validate_tmatrix([[0, 0], [0, 0]], 2), (p, q)).overall
+    # a stored denominator counts in lowest terms: 1 over 2**62 is the identity
+    one = MonomialMatrix.from_exponents([0], [0], 2**62)
+    gens = [one, MonomialMatrix.diagonal((Phase(1, 3),))]
+    assert verify_relations(gens, validate_tmatrix([[0, 0], [0, 0]], 3), (1, 3)).overall
+
+
+def test_generators_of_mixed_dimension_are_rejected():
+    gens = [shift(2), clock(2), shift(2).tensor(clock(2))]
+    with pytest.raises(DimensionMismatch, match="dims 2 != 4"):
+        verify_relations(gens, anticommuting_t(3), (2, 2, 2))
+
+
+# ---------------------------------------------------------------------------
+# one order validator for specs and verification
+
+
+@pytest.mark.parametrize("orders", [(0, 0), (2.9, -2), (-2, 2), (True, 2), (2.0, 2), ("2", 2), (None, 2)])
+def test_bad_orders_are_rejected_by_spec_and_verifier(orders):
+    t = anticommuting_t(2)
+    with pytest.raises(BadOrder):
+        GcaSpec(t, orders)
+    with pytest.raises(BadOrder):
+        verify_relations(clifford_generators(2).gens, t, orders)
+
+
+def test_numpy_integer_orders_are_accepted_as_ints():
+    t = anticommuting_t(2)
+    spec = GcaSpec(t, np.array([2, 4]))
+    assert spec.orders == (2, 4) and all(type(x) is int for x in spec.orders)
+    assert spec == GcaSpec(t, [2, 4])
+    assert verify_relations(clifford_generators(2).gens, t, np.array([2, 2])).overall

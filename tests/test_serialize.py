@@ -2,10 +2,13 @@
 
 import json
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcakit import (
     FactorSet,
@@ -140,3 +143,152 @@ def test_monomial_phases_are_emitted_in_lowest_terms():
     assert doc["phase"] == [{"num": 1, "den": 4}, {"num": 1, "den": 2}, {"num": 0, "den": 1}]
     assert doc["phase"] == [{"num": p.num, "den": p.den} for p in m.phase]
     assert doc_to_matrix(doc) == m
+
+
+# ---------------------------------------------------------------------------
+# the two-function emitter that the single-pass one replaced, kept as an oracle
+
+def _emit(obj, out: list, indent: str, level: int, pretty: bool) -> None:
+    if obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite value {x}")
+        text = format(x, ".17g")
+        out.append(text)
+    elif isinstance(obj, dict):
+        _emit_items(
+            obj.items(), out, indent, level, pretty, "{", "}", key=True
+        )
+    elif isinstance(obj, (list, tuple)):
+        _emit_items(obj, out, indent, level, pretty, "[", "]", key=False)
+    else:
+        raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _emit_items(items, out, indent, level, pretty, opener, closer, key) -> None:
+    items = list(items)
+    if not items:
+        out.append(opener + closer)
+        return
+    out.append(opener)
+    pad = indent * (level + 1)
+    for i, item in enumerate(items):
+        if pretty:
+            out.append("\n" + pad)
+        if key:
+            k, v = item
+            if not isinstance(k, str):
+                raise ValueError(f"object keys must be strings, got {k!r}")
+            out.append(json.dumps(k, ensure_ascii=True))
+            out.append(": " if pretty else ":")
+            _emit(v, out, indent, level + 1, pretty)
+        else:
+            _emit(item, out, indent, level + 1, pretty)
+        if i + 1 < len(items):
+            out.append(",")
+    if pretty:
+        out.append("\n" + indent * level)
+    out.append(closer)
+
+
+def oracle_emit_json(obj, pretty: bool = False) -> str:
+    out: list[str] = []
+    _emit(obj, out, "  ", 0, pretty)
+    out.append("\n")
+    return "".join(out)
+
+
+def _outcome(emit, obj, pretty):
+    try:
+        return emit(obj, pretty)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class Text(str):
+    """A str subclass: encoded as its plain value, whatever its str()."""
+
+    def __str__(self):
+        return "not this"
+
+
+class Count(int):
+    def __str__(self):
+        return "not this"
+
+
+GOOD_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers().map(Count)
+    | st.text(max_size=4).map(Text)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.integers(-(10**6), 10**6).map(float)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32)
+    | st.sampled_from([-0.0, 0.0, 1e-300, 5e-324, 1e300, 2.0, 0.1])
+    | st.text()
+    | st.sampled_from(["", "\u00e9t\u00e9", "\u2191\U0001d53b", '"\\\n\t', "\x00\x7f"])
+)
+BAD_LEAVES = st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float32("inf"),
+     np.bool_(True), object(), b"bytes", {1, 2}, 1j, Fraction(1, 2)]
+)
+
+
+def _trees(leaves, keys):
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(keys, kids, max_size=4)
+        | st.dictionaries(keys, kids, max_size=4).map(OrderedDict),
+        max_leaves=40,
+    )
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_trees(GOOD_LEAVES, st.text(max_size=6) | st.text(max_size=3).map(Text)))
+def test_emit_json_matches_the_two_function_oracle(tree):
+    assert emit_json(tree) == oracle_emit_json(tree)
+    assert emit_json(tree, pretty=True) == oracle_emit_json(tree, pretty=True)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_trees(GOOD_LEAVES | BAD_LEAVES, st.text(max_size=3) | st.integers() | st.none() | st.tuples(st.integers())))
+def test_emit_json_fails_like_the_oracle(tree):
+    for pretty in (False, True):
+        assert _outcome(emit_json, tree, pretty) == _outcome(oracle_emit_json, tree, pretty)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (float("nan"), "cannot serialize non-finite value nan"),
+        ([1, {"a": -float("inf")}], "cannot serialize non-finite value -inf"),
+        ({"a": 1, 2: "b"}, "object keys must be strings, got 2"),
+        ({"x": object()}, "cannot serialize object of type object"),
+        ([np.bool_(False)], "cannot serialize object of type bool"),
+    ],
+)
+def test_emit_error_messages(obj, message):
+    for pretty in (False, True):
+        with pytest.raises(ValueError) as info:
+            emit_json(obj, pretty=pretty)
+        assert str(info.value) == message
+
+
+def test_emit_pretty_layout_and_empty_containers():
+    obj = {"a": [], "b": {}, "c": (1, (2.0, "\u00e9")), "d": {"e": None}}
+    assert emit_json(obj) == '{"a":[],"b":{},"c":[1,[2,"\\u00e9"]],"d":{"e":null}}\n'
+    assert emit_json(obj, pretty=True) == (
+        '{\n  "a": [],\n  "b": {},\n  "c": [\n    1,\n    [\n      2,\n      "\\u00e9"\n    ]\n  ],\n'
+        '  "d": {\n    "e": null\n  }\n}\n'
+    )
