@@ -42,6 +42,7 @@ from .repbuilder import (
     clifford_generators,
     ordered_gca_generators,
     projective_rep,
+    verify_gca,
     verify_relations,
 )
 from .serialize import (
@@ -205,15 +206,9 @@ def _cmd_rep(args):
     return _rep_text(rep, rep.report, args.pretty), 0 if rep.report.overall else 1
 
 
-def _cmd_clifford(args):
-    rep = clifford_generators(args.n)
-    report = verify_relations(rep.gens, rep.spec.t, rep.spec.orders)
-    return _rep_text(rep, report, args.pretty), 0 if report.overall else 1
-
-
 def _cmd_ordered(args):
     rep = ordered_gca_generators(args.n, args.order)
-    report = verify_relations(rep.gens, rep.spec.t, rep.spec.orders)
+    report = verify_gca(rep)
     return _rep_text(rep, report, args.pretty), 0 if report.overall else 1
 
 
@@ -439,10 +434,8 @@ def _cmd_selftest(args):
         ok_all = ok_all and ok
         lines.append(f"[{'ok' if ok else 'BAD'}] {name}" + (f"  {detail}" if detail else ""))
 
-    rep = clifford_generators(5)
-    record("anticommuting family n=5", verify_relations(rep.gens, rep.spec.t, rep.spec.orders).overall)
-    rep = ordered_gca_generators(4, 3)
-    record("order-3 family n=4", verify_relations(rep.gens, rep.spec.t, rep.spec.orders).overall)
+    record("anticommuting family n=5", verify_gca(clifford_generators(5)).overall)
+    record("order-3 family n=4", verify_gca(ordered_gca_generators(4, 3)).overall)
 
     nhat = 6
     raw = [[0] * 5 for _ in range(5)]
@@ -537,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clifford", parents=[common], help="standard anticommuting family")
     p.add_argument("n", type=int, help="number of generators")
-    p.set_defaults(func=_cmd_clifford)
+    p.set_defaults(func=_cmd_ordered, order=2)
 
     p = sub.add_parser("ordered", parents=[common], help="standard order-N family")
     p.add_argument("n", type=int, help="number of generators")

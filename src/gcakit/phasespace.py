@@ -254,9 +254,8 @@ def compose_params(p1: CanonicalParams, p2: CanonicalParams) -> CanonicalParams:
 def canonical_pair(p: CanonicalParams) -> tuple[MonomialMatrix, MonomialMatrix]:
     """The transformed pair.  Determinant 1 mod N keeps the order N and the
     commutation phase w of (A, B); tests check both exactly up to N = 10."""
-    a, b = shift(p.order), clock(p.order)
-    ap = ((a**p.k) @ (b**p.l)).scale(Phase(-p.k * p.l, 2 * p.order))
-    bp = ((a**p.m) @ (b**p.n)).scale(Phase(-p.m * p.n, 2 * p.order))
+    ap = weyl_word(p.order, p.k, p.l).scale(Phase(-p.k * p.l, 2 * p.order))
+    bp = weyl_word(p.order, p.m, p.n).scale(Phase(-p.m * p.n, 2 * p.order))
     return ap, bp
 
 

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -321,25 +321,10 @@ def clifford_generators(n: int) -> Representation:
 
     e_(2k-1) = sigma2^(k-1 factors) (x) sigma1 (x) 1...,
     e_(2k)   = sigma2^(k-1 factors) (x) sigma3 (x) 1...,
-    and for odd n the last generator is sigma2 on every slot.
+    and for odd n the last generator is sigma2 on every slot.  This is the
+    order-2 family: shift(2) = sigma1, clock(2) = sigma3, mu A^(-1)B = sigma2.
     """
-    if n < 1:
-        raise BadOrder(f"need n >= 1, got {n}")
-    m = n // 2
-    ident = MonomialMatrix.identity(2)
-    gens: list[MonomialMatrix] = []
-    mus: list[Phase] = []
-    for k in range(1, m + 1):
-        left = [sigma2] * (k - 1)
-        right = [ident] * (m - k)
-        gens.append(_chain(left + [sigma1] + right))
-        gens.append(_chain(left + [sigma3] + right))
-        mus += [IMAG ** (k - 1)] * 2
-    if n % 2 == 1:
-        gens.append(_chain([sigma2] * m) if m else MonomialMatrix.identity(1))
-        mus.append(IMAG ** m)
-    spec = GcaSpec(_ordered_tmatrix(n, 2), (2,) * n)
-    return Representation(spec=spec, dim=2 ** m, gens=tuple(gens), mu=tuple(mus))
+    return ordered_gca_generators(n, 2)
 
 
 def ordered_mu(n_order: int) -> Phase:
@@ -360,8 +345,7 @@ def ordered_gca_generators(n: int, n_order: int) -> Representation:
 
     Built from the order-N clock/shift pair on N^floor(n/2) dimensions:
     pair k occupies tensor slot k with mu*A^(-1)B words filling the slots
-    to its left, mirroring the anticommuting family, to which this reduces
-    bit-exactly at N = 2.
+    to its left.  At N = 2 this is the anticommuting family.
     """
     if n < 1:
         raise BadOrder(f"need n >= 1, got {n}")
@@ -396,9 +380,9 @@ class FactorSet:
     """Multiplier table phi(g, h) on Z_{N_1} x ... x Z_{N_n}.
 
     Elements are exponent tuples, numbered in mixed radix in the order of
-    elements() (last coordinate fastest).  The table must cover every
-    ordered pair; it is stored as the (|G|, |G|) int64 array exp over one
-    denominator den, phi(g, h) = e^(2*pi*i*exp[g, h]/den), beside the
+    elements() (last coordinate fastest).  The table must hold exactly the
+    |G|^2 ordered pairs; it is stored as the (|G|, |G|) int64 array exp over
+    one denominator den, phi(g, h) = e^(2*pi*i*exp[g, h]/den), beside the
     (|G|, |G|) multiplication table of element numbers.  validate()
     enforces phi(E,g) = phi(g,E) = 1 and the associativity identity
     phi(g,h) phi(gh,l) = phi(g,hl) phi(h,l) over all triples, as integer
@@ -406,8 +390,13 @@ class FactorSet:
     """
 
     def __init__(self, orders, table):
-        orders = _group_orders(orders)
+        orders = _generator_orders(orders)
         table = dict(table)
+        # checked before the |G| elements are listed, so a short table cannot
+        # ask for a huge enumeration, and an extra key cannot pass silently
+        need = prod(orders) ** 2
+        if len(table) != need:
+            raise InvalidFactorSet(f"table has {len(table)} entries, need {need}")
         elems = list(itertools.product(*(range(nj) for nj in orders)))
         phases = []
         for g in elems:
@@ -484,14 +473,14 @@ class FactorSet:
 
     @classmethod
     def trivial(cls, orders) -> "FactorSet":
-        orders = _group_orders(orders)
+        orders = _generator_orders(orders)
         size = int(np.prod(orders, dtype=np.int64))
         return cls._from_exponents(orders, np.zeros((size, size), dtype=np.int64), 1)
 
     @classmethod
     def bilinear(cls, orders, exps) -> "FactorSet":
         """phi(g, h) = e^(2*pi*i * sum_jk exps[j][k] g_j h_k), exps rational."""
-        orders = _group_orders(orders)
+        orders = _generator_orders(orders)
         n = len(orders)
         fr = [[Fraction(exps[j][k]) for k in range(n)] for j in range(n)]
         den = _check_den(lcm(*(f.denominator for row in fr for f in row)))
@@ -503,13 +492,6 @@ class FactorSet:
         coords = coords.reshape(-1, n)
         exp = ((coords @ a) % den) @ coords.T % den
         return cls._from_exponents(orders, exp.astype(np.int64), den)
-
-
-def _group_orders(orders) -> tuple[int, ...]:
-    orders = tuple(int(x) for x in orders)
-    if any(x < 1 for x in orders):
-        raise BadOrder("group orders must be positive")
-    return orders
 
 
 @dataclass(frozen=True, slots=True)
@@ -524,25 +506,6 @@ class ProjectiveRep:
     gens: tuple[MonomialMatrix, ...] = ()
 
 
-def _phi_word_recursive(fs: FactorSet) -> dict:
-    """phi(g) with D(g) = phi(g) * prod_j D(c_j)^(m_j), by peeling generators.
-
-    D(c_j) D(g') = phi(c_j, g') D(c_j g') applied to the leftmost generator
-    with a nonzero exponent; iterating lexicographically guarantees the
-    smaller element is already known.
-    """
-    n = len(fs.orders)
-    coeff = {fs.identity: ONE}
-    for g in sorted(fs.elements()):
-        if g == fs.identity:
-            continue
-        j = next(i for i in range(n) if g[i] > 0)
-        g2 = tuple(x - (i == j) for i, x in enumerate(g))
-        cj = tuple(int(i == j) for i in range(n))
-        coeff[g] = fs.phi(cj, g2).inverse() * coeff[g2]
-    return coeff
-
-
 def projective_rep(fs: FactorSet) -> ProjectiveRep:
     """Standard projective representation for a validated multiplier table.
 
@@ -551,10 +514,16 @@ def projective_rep(fs: FactorSet) -> ProjectiveRep:
     D(c_j) strips the accumulated scalar phi(c_j^(N_j))^(1/N_j) from e_j,
     and general D(g) follow from the peeling recursion.  Every pair
     relation D(g) D(h) = phi(g,h) D(gh) is then checked exactly.
+
+    The recursion peels the leftmost generator c_j with a nonzero exponent:
+    g = c_j g' gives D(g) = phi(c_j, g')^(-1) D(c_j) D(g'), so in lexicographic
+    order g' is always known.  phi_coeffs[g] is the scalar with
+    D(g) = phi_coeffs[g] * prod_j D(c_j)^(g_j).
     """
     fs.validate()
     n = len(fs.orders)
-    cgen = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    # c_j; a factor of order 1 has only the identity
+    cgen = [tuple(int(i == j) % fs.orders[i] for i in range(n)) for j in range(n)]
     omega = [[fs.phi(cgen[j], cgen[k]) / fs.phi(cgen[k], cgen[j]) for k in range(n)] for j in range(n)]
 
     nhat = 1
@@ -576,15 +545,14 @@ def projective_rep(fs: FactorSet) -> ProjectiveRep:
             acc = acc * fs.phi(cgen[j], power).inverse()
         dgens.append(rep.gens[j].scale(acc.root(fs.orders[j]).inverse()))
 
-    coeff = _phi_word_recursive(fs)
-
-    dmap = {}
-    for g in fs.elements():
-        word = MonomialMatrix.identity(rep.dim)
-        for j in range(n):
-            if g[j]:
-                word = word @ (dgens[j] ** g[j])
-        dmap[g] = word.scale(coeff[g])
+    coeff = {fs.identity: ONE}
+    dmap = {fs.identity: MonomialMatrix.identity(rep.dim)}
+    for g in itertools.islice(fs.elements(), 1, None):
+        j = next(i for i in range(n) if g[i])
+        g2 = g[:j] + (g[j] - 1,) + g[j + 1:]
+        z = fs.phi(cgen[j], g2).inverse()
+        coeff[g] = z * coeff[g2]
+        dmap[g] = (dgens[j] @ dmap[g2]).scale(z)
 
     elems = list(fs.elements())
     words = [dmap[g] for g in elems]

@@ -84,6 +84,21 @@ def test_ordered_command():
     assert json.loads(out)["dim"] == 3
 
 
+def test_clifford_prints_the_order_two_family():
+    for n in range(1, 13):
+        for extra in ([], ["--pretty"]):
+            clifford = call(["clifford", str(n)] + extra)
+            assert clifford[0] == 0 and clifford[2] == ""
+            assert clifford == call(["ordered", str(n), "2"] + extra)
+
+
+def test_projrep_rejects_a_short_table_before_listing_the_group():
+    # |G|**2 = 10**20 pairs: the count is checked before any element is listed
+    code, out, err = call(["projrep", '{"orders":[100000,100000],"table":[]}'])
+    assert code == 2 and out == ""
+    assert err == "error: bad factor set: table has 0 entries, need 100000000000000000000\n"
+
+
 def test_projrep_from_stdin_style_file(tmp_path):
     fs = FactorSet.bilinear((2, 2), [[0, "1/2"], [0, 0]])
     path = tmp_path / "fs.json"

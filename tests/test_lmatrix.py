@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcakit import (
     BadOrder,
@@ -180,6 +182,29 @@ def test_sigma_operation_block_structure():
         assert max_abs_diff(l_matrix(out), want) < 1e-12
         r = nth_power_check(out)
         assert r.passed
+
+
+COEFFS = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from([1, 3, 5]),
+    st.sampled_from([2, 3, 4]),
+    st.lists(COEFFS, min_size=8, max_size=8),
+)
+def test_sigma_operation_is_block_substitution(n, order, coeffs):
+    # L(grown) = sum_(j<n-1) lam_j (e_j x I) + e_(n-1) x L3(lam_new); grown dim <= 4**3
+    lam, lam_new = tuple(coeffs[:n]), tuple(coeffs[n:n + 3])
+    inner = LSpec(lam, family_rep(n, order))
+    out = sigma_operation(inner, lam_new)
+    assert out.rep.dim == order * inner.rep.dim <= 256
+    want = np.zeros((out.rep.dim, out.rep.dim), dtype=complex)
+    for coeff, g in zip(lam[:-1], inner.rep.gens[:-1]):
+        want += coeff * np.kron(to_dense(g), np.eye(order))
+    want += np.kron(to_dense(inner.rep.gens[-1]), l_matrix(LSpec(lam_new, family_rep(3, order))))
+    scale = 1.0 + max(abs(z) for z in lam + lam_new)
+    assert max_abs_diff(l_matrix(out), want) <= 1e-12 * scale
 
 
 def test_sigma_operation_preserves_power_law():

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcakit import IMAG, MINUS_IMAG, MINUS_ONE, ONE, IrrationalPhase, Phase
 
@@ -120,3 +122,49 @@ def test_hashable_and_frozen():
     assert len(seen) == 1
     with pytest.raises(AttributeError):
         ONE.num = 3
+
+
+# ---------------------------------------------------------------------------
+# group laws on arbitrary phases
+
+phases = st.builds(Phase, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+powers = st.integers(-40, 40)
+
+
+@settings(max_examples=200, database=None)
+@given(phases, phases, phases)
+def test_product_is_associative_and_commutative(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+
+
+@settings(max_examples=200, database=None)
+@given(phases)
+def test_identity_and_inverse(a):
+    assert a * ONE == a == ONE * a
+    assert a * a.inverse() == ONE == a.inverse() * a
+    assert a / a == ONE and ONE / a == a.inverse()
+
+
+@settings(max_examples=200, database=None)
+@given(phases, powers)
+def test_power_is_a_repeated_product(a, k):
+    base = a if k >= 0 else a.inverse()
+    acc = ONE
+    for _ in range(abs(k)):
+        acc = acc * base
+    assert a**k == acc
+
+
+@settings(max_examples=200, database=None)
+@given(phases, st.integers(1, 50))
+def test_root_then_power_gives_back_the_phase(a, k):
+    assert a.root(k) ** k == a
+
+
+@settings(max_examples=200, database=None)
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(1, 10**6))
+def test_equality_and_hash_ignore_a_common_factor(num, den, m):
+    a, b, c = Phase(num, den), Phase(num * m, den * m), Phase(-num * m, -den * m)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert a == Phase(num + den * m, den)

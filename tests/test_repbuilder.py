@@ -3,7 +3,7 @@
 import dataclasses
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -39,9 +39,9 @@ from gcakit import (
     verify_relations,
 )
 from gcakit.matrices import MonomialMatrix
+from gcakit.repbuilder import sigma1, sigma2, sigma3
 from gcakit.report import Check, VerificationReport
 from gcakit import repbuilder
-from gcakit.repbuilder import _phi_word_recursive
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -135,6 +135,37 @@ def test_anticommuting_family_relations_exact():
 def test_odd_tail_word():
     rep = clifford_generators(5)
     assert max_abs_diff(to_dense(rep.gens[4]), kron_chain([S2, S2])) < 1e-15
+
+
+def clifford_sigma_chain(n):
+    """The anticommuting family built directly from Pauli chains, without
+    the order-N clock/shift construction."""
+    m = n // 2
+    ident = MonomialMatrix.identity(2)
+
+    def chain(factors):
+        out = factors[0]
+        for f in factors[1:]:
+            out = out.tensor(f)
+        return out
+
+    gens, mus = [], []
+    for k in range(1, m + 1):
+        left, right = [sigma2] * (k - 1), [ident] * (m - k)
+        gens.append(chain(left + [sigma1] + right))
+        gens.append(chain(left + [sigma3] + right))
+        mus += [IMAG ** (k - 1)] * 2
+    if n % 2 == 1:
+        gens.append(chain([sigma2] * m) if m else MonomialMatrix.identity(1))
+        mus.append(IMAG**m)
+    spec = GcaSpec(anticommuting_t(n), (2,) * n)
+    return spec, 2**m, tuple(gens), tuple(mus)
+
+
+def test_anticommuting_family_matches_the_sigma_chain_oracle():
+    for n in range(1, 14):
+        rep = clifford_generators(n)
+        assert (rep.spec, rep.dim, rep.gens, rep.mu) == clifford_sigma_chain(n)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +435,25 @@ def test_build_attaches_its_verification_report():
     assert clifford_generators(3).report is None
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 5), st.integers(2, 12), st.data())
+def test_build_verifies_any_spec_congruent_to_blocks(n, nhat, data):
+    # T = U Tcal U^T for a random unimodular U, the way the benchmark draws specs
+    blocks = data.draw(st.lists(st.integers(1, nhat - 1), max_size=n // 2))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([-2, -1, 1, 2]))
+    for i, j, c in data.draw(st.lists(steps, max_size=2 * n)):
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    tcal = np.zeros((n, n), dtype=object)
+    for j, b in enumerate(blocks):
+        tcal[2 * j, 2 * j + 1], tcal[2 * j + 1, 2 * j] = b, -b
+    ua = np.array(u, dtype=object).reshape(n, n)
+    rep = build_representation(GcaSpec(validate_tmatrix((ua @ tcal @ ua.T).tolist(), nhat), (nhat,) * n))
+    assert rep.report.overall and rep.report == verify_gca(rep)
+    assert rep.dim == prod(nhat // gcd(b, nhat) for b in blocks)
+
+
 def test_report_is_excluded_from_equality():
     rep = build_representation(random_spec(np.random.default_rng(43), 3, 4))
     bare = type(rep)(spec=rep.spec, dim=rep.dim, gens=rep.gens, mu=rep.mu)
@@ -457,8 +507,25 @@ def test_word_coefficients_closed_form_matches_recursion(orders):
     rng = np.random.default_rng(sum(orders) * 101 + len(orders))
     for _ in range(3):
         fs = random_bilinear(rng, orders)
-        coeff = _phi_word_recursive(fs)
+        coeff = projective_rep(fs).phi_coeffs
         assert all(phi_word_closed(fs, g) == coeff[g] for g in fs.elements())
+
+
+@pytest.mark.parametrize(
+    "orders", [(2,), (2, 2), (3, 3), (2, 2, 2), (2, 3, 4), (4, 4), (3, 3, 3), (9, 9), (3, 3, 3, 3)]
+)
+def test_peeled_words_match_generator_powers(orders):
+    # D(g) = phi(g) * prod_j D(c_j)^(g_j) with each power taken on its own,
+    # not by peeling one generator at a time
+    rng = np.random.default_rng(sum(orders) * 103 + len(orders))
+    for _ in range(2):
+        pr = projective_rep(random_bilinear(rng, orders))
+        for g, dense in pr.dmap.items():
+            word = MonomialMatrix.identity(pr.dim)
+            for j, mj in enumerate(g):
+                if mj:
+                    word = word @ (pr.gens[j] ** mj)
+            assert np.array_equal(dense, to_dense(word.scale(pr.phi_coeffs[g])))
 
 
 def validate_reference(orders, table):
@@ -512,6 +579,27 @@ def test_validate_agrees_with_triple_loop(orders, data):
     key = data.draw(st.sampled_from(sorted(table)))
     table[key] = table[key] * Phase(data.draw(st.integers(1, 5)), 6)
     assert validate_outcome(FactorSet(orders, table)) == validate_reference(orders, table)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(group_orders, st.data())
+def test_bilinear_cocycles_give_projective_representations(orders, data):
+    fs = FactorSet.bilinear(orders, bilinear_exponents(lambda: data.draw(st.integers(0, 11)), orders))
+    fs.validate()
+    pr = projective_rep(fs)
+    d = pr.dmap
+    assert sorted(d) == sorted(fs.elements())
+    for g in fs.elements():
+        for h in fs.elements():
+            assert max_abs_diff(d[g] @ d[h], fs.phi(g, h).to_complex() * d[fs.mul(g, h)]) < 1e-12
+
+
+def test_projective_rep_accepts_factors_of_order_one():
+    # the generator of Z_1 is the identity (0,), not (1,)
+    assert projective_rep(FactorSet.trivial((1,))).dim == 1
+    pr = projective_rep(FactorSet.bilinear((2, 1, 2), [[0, 0, "1/2"], [0, 0, 0], [0, 0, 0]]))
+    assert pr.dim == 2 and len(pr.dmap) == 4
+    assert pr.commutators[1] == (ONE, ONE, ONE)
 
 
 def test_factor_set_table_round_trips():
@@ -672,6 +760,30 @@ def test_bad_orders_are_rejected_by_spec_and_verifier(orders):
         GcaSpec(t, orders)
     with pytest.raises(BadOrder):
         verify_relations(clifford_generators(2).gens, t, orders)
+
+
+@pytest.mark.parametrize("orders", [(2.9, 2), (True, 2), (2.0,), (0, 2), (-3,), ("2",)])
+def test_bad_factor_set_orders_are_rejected(orders):
+    table = FactorSet.trivial((2, 2)).table
+    with pytest.raises(BadOrder):
+        FactorSet.trivial(orders)
+    with pytest.raises(BadOrder):
+        FactorSet.bilinear(orders, [[0] * len(orders)] * len(orders))
+    with pytest.raises(BadOrder):
+        FactorSet(orders, table)
+
+
+def test_factor_set_table_length_is_checked_before_enumeration():
+    # 10**6 elements would be 10**12 pairs to list; the count fails first
+    with pytest.raises(InvalidFactorSet, match=r"^table has 0 entries, need 1000000000000$"):
+        FactorSet((1000, 1000), {})
+    table = FactorSet.trivial((2, 2)).table
+    table[((2, 0), (0, 0))] = ONE  # every entry, plus one key outside the group
+    with pytest.raises(InvalidFactorSet, match=r"^table has 17 entries, need 16$"):
+        FactorSet((2, 2), table)
+    del table[((1, 1), (1, 1))]  # the right count, but one entry replaced by the stray key
+    with pytest.raises(InvalidFactorSet, match="missing table entry"):
+        FactorSet((2, 2), table)
 
 
 def test_numpy_integer_orders_are_accepted_as_ints():

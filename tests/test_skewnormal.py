@@ -1,7 +1,11 @@
 """Block-diagonalization of antisymmetric integer matrices."""
 
+from math import gcd, prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcakit import (
     BadModulus,
@@ -164,3 +168,63 @@ def test_random_round_trips():
         assert abs(int_det(f.u)) == 1
         report = verify_congruence(t, f)
         assert report.overall, str(report)
+
+
+# ---------------------------------------------------------------------------
+# properties on arbitrary antisymmetric matrices
+
+sizes = st.tuples(st.integers(1, 7), st.integers(2, 30))
+
+
+@st.composite
+def antisymmetric_tmatrices(draw):
+    n, nhat = draw(sizes)
+    raw = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            raw[j][k] = draw(st.integers(-2 * nhat, 2 * nhat))
+            raw[k][j] = -raw[j][k]
+    return validate_tmatrix(raw, nhat)
+
+
+@st.composite
+def unimodular(draw, n):
+    """Row additions, sign flips and a row permutation of the identity."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([-2, -1, 1, 2]))
+    for i, j, c in draw(st.lists(steps, max_size=3 * n)):
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    u = [[-a for a in row] if flip else row for row, flip in zip(u, flips)]
+    return [u[p] for p in draw(st.permutations(range(n)))]
+
+
+def assert_reduces(t):
+    f = skew_normal_form(t)
+    report = verify_congruence(t, f)
+    assert report.overall, str(report)
+    assert abs(int_det(f.u)) == 1
+    return f
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(antisymmetric_tmatrices())
+def test_any_antisymmetric_matrix_reduces(t):
+    assert_reduces(t)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(sizes, st.data())
+def test_matrix_congruent_to_blocks_reduces(size, data):
+    # T = U Tcal U^T: the form's representation dimension is that of the designed blocks
+    n, nhat = size
+    blocks = data.draw(st.lists(st.integers(1, nhat - 1), max_size=n // 2))
+    u = data.draw(unimodular(n))
+    assert abs(int_det(u)) == 1
+    tcal = np.zeros((n, n), dtype=object)
+    for j, b in enumerate(blocks):
+        tcal[2 * j, 2 * j + 1], tcal[2 * j + 1, 2 * j] = b, -b
+    ua = np.array(u, dtype=object).reshape(n, n)
+    f = assert_reduces(validate_tmatrix((ua @ tcal @ ua.T).tolist(), nhat))
+    assert prod(nhat // gcd(x, nhat) for x in f.t_inv) == prod(nhat // gcd(b, nhat) for b in blocks)
