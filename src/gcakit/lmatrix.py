@@ -9,6 +9,7 @@ sum lam_j^N instead.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     EvenGeneratorCount,
     GcaError,
+    NotFinite,
     NotReal,
     ZeroVector,
 )
@@ -47,6 +49,9 @@ class LSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", tuple(complex(x) for x in self.lam))
+        for x in self.lam:
+            if not cmath.isfinite(x):
+                raise NotFinite(f"coefficients must be finite, got {x}")
         if len(self.lam) != len(self.rep.gens):
             raise DimensionMismatch(
                 f"{len(self.lam)} coefficients for {len(self.rep.gens)} generators"
@@ -135,6 +140,8 @@ def diagonalize_l(spec: LSpec, tol: float = DEFAULT_TOL) -> DiagonalizationResul
             raise NotReal(f"coefficients must be real, got {x}")
         lam.append(x.real)
     big_lambda = math.sqrt(sum(x * x for x in lam))
+    if not math.isfinite(big_lambda):
+        raise NotFinite(f"Lambda = {big_lambda} is not finite")
     if big_lambda == 0.0:
         raise ZeroVector("all coefficients vanish")
 
@@ -166,7 +173,8 @@ def diagonalize_l(spec: LSpec, tol: float = DEFAULT_TOL) -> DiagonalizationResul
     transformed = u @ l_matrix(spec) @ u.conj().T
     target = big_lambda * gens[axis].to_dense()
     dev = max_abs_diff(transformed, target)
-    if dev > max(tol, 1e-9 * big_lambda):
+    # written so that a NaN deviation fails
+    if not dev <= max(tol, 1e-9 * big_lambda):
         raise GcaError(f"conjugation check failed, deviation {dev:.3e}")
     return DiagonalizationResult(
         u=u,
@@ -190,7 +198,10 @@ def nth_power_check(spec: LSpec, tol: float = DEFAULT_TOL) -> NthPowerReport:
     order = family_order(spec.rep)
     if order is None:
         raise BadOrder("power law check is defined on the standard families only")
-    scalar = sum(x**order for x in spec.lam)
+    try:
+        scalar = sum(x**order for x in spec.lam)
+    except OverflowError:
+        raise NotFinite(f"the sum of lam_j^{order} overflows the float range") from None
     power = np.linalg.matrix_power(l_matrix(spec), order)
     dev = max_abs_diff(power, scalar * np.eye(spec.rep.dim)) / (1.0 + abs(scalar))
     return NthPowerReport(order=order, scalar=scalar, deviation=dev, passed=dev <= tol)

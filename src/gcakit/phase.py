@@ -50,15 +50,16 @@ class Phase:
     def from_complex(cls, z: complex, tol: float = 1e-9, max_den: int = 4096) -> "Phase":
         """Snap a unit complex number to an exact root of unity.
 
-        Raises IrrationalPhase when |z| is not 1 or the angle has no small
-        rational multiple of 2*pi within tol.
+        Raises IrrationalPhase when |z| is not 1 (a NaN or infinite z
+        included) or the angle has no small rational multiple of 2*pi
+        within tol.
         """
-        if abs(abs(z) - 1.0) > tol:
+        if not abs(abs(z) - 1.0) <= tol:
             raise IrrationalPhase(f"|z| = {abs(z)!r} is not 1")
         ang = math.atan2(z.imag, z.real) / (2 * math.pi)
         f = Fraction(ang).limit_denominator(max_den)
         cand = cls.from_fraction(f)
-        if abs(cand.to_complex() - complex(z)) > tol:
+        if not abs(cand.to_complex() - complex(z)) <= tol:
             raise IrrationalPhase(f"no rational angle within {tol} of {z!r}")
         return cand
 

@@ -5,14 +5,17 @@ A family of unitary generators e_1..e_n with
     e_j e_k = w^(t_jk) e_k e_j,   w = e^(2*pi*i/nhat),   e_j^(N_j) = 1
 
 is determined by the antisymmetric integer matrix t mod nhat and the
-orders N_j.  The construction reduces t to its skew normal form, realizes
-each hyperbolic block on a clock/shift pair, and maps the block generators
-back through the unimodular transform:
+orders N_j.  The construction reduces t to its skew normal form
+t = U Tcal U^T, realizes the i-th hyperbolic block of Tcal on a clock/shift
+pair (a_i, b_i) at that pair's own order, and maps the block generators
+back through the unimodular transform U:
 
-    e_j = mu_j * eps_1^(u_j1) * ... * eps_n^(u_jn)
+    e_j = mu_j * W_s (x) ... (x) W_1,   W_i = a_i^(u_j,2i-1) b_i^(u_j,2i)
 
-where eps_(2i-1), eps_(2i) hold the i-th pair (pair 1 in the rightmost
-tensor slot, pair s in the leftmost) and the eps beyond 2s are scalar 1.
+Pair i acts on its own tensor slot alone (pair 1 in the rightmost slot,
+pair s in the leftmost), and factors in different slots commute, so the
+word in the 2s embedded pair generators collects slot by slot into this
+one tensor chain; exponents u_jk with k beyond 2s act on the scalar 1.
 The scalar mu_j is fixed by e_j^(N_j) = 1 with the smallest nonnegative
 phase exponent.
 """
@@ -139,41 +142,23 @@ class Representation:
     report: VerificationReport | None = field(default=None, init=False, compare=False, repr=False)
 
 
-def _slot_embed(mat: MonomialMatrix, slot: int, dims: list[int]) -> MonomialMatrix:
-    # slot 0 is the leftmost (slowest) tensor factor
-    factors = [
-        mat if i == slot else MonomialMatrix.identity(d) for i, d in enumerate(dims)
-    ]
+def _chain(factors: list[MonomialMatrix]) -> MonomialMatrix:
     return reduce(lambda a, b: a.tensor(b), factors)
 
 
 def build_representation(spec: GcaSpec) -> Representation:
     """Construct generators for the commutation data and verify them exactly."""
-    n, nhat = spec.n, spec.nhat
     f = skew_normal_form(spec.t)
-    pairs = [weyl_pair_for(tj, nhat) for tj in f.t_inv]
-    # tensor slots run pair s, ..., pair 1 from the left
-    dims = [pairs[i].order for i in reversed(range(f.s))]
-    dim = 1
-    for d in dims:
-        dim *= d
-
-    eps: list[MonomialMatrix] = []
-    for i, pair in enumerate(pairs):
-        slot = f.s - 1 - i
-        eps.append(_slot_embed(pair.a, slot, dims) if dims else MonomialMatrix.identity(1))
-        eps.append(_slot_embed(pair.b, slot, dims) if dims else MonomialMatrix.identity(1))
+    pairs = [weyl_pair_for(tj, spec.nhat) for tj in f.t_inv]
+    dim = prod(p.order for p in pairs)
 
     gens = []
     mus = []
-    ident = MonomialMatrix.identity(dim)
-    for j in range(n):
-        word = ident
-        for k in range(2 * f.s):
-            e = f.u[j][k]
-            if e:
-                word = word @ (eps[k] ** e)
-        # exponents on the scalar eps beyond 2s contribute nothing
+    for j in range(spec.n):
+        u = f.u[j]
+        # W_i at the pair's own order; the chain runs pair s, ..., pair 1 from the left
+        words = [p.a ** u[2 * i] @ p.b ** u[2 * i + 1] for i, p in enumerate(pairs)]
+        word = _chain(words[::-1]) if words else MonomialMatrix.identity(1)
         zeta = (word ** spec.orders[j]).scalar_phase()
         if zeta is None:
             raise InconsistentOrders(
@@ -310,10 +295,6 @@ def _ordered_tmatrix(n: int, nhat: int) -> TMatrix:
             raw[j][k] = 1
             raw[k][j] = -1
     return validate_tmatrix(raw, nhat)
-
-
-def _chain(factors: list[MonomialMatrix]) -> MonomialMatrix:
-    return reduce(lambda a, b: a.tensor(b), factors)
 
 
 def clifford_generators(n: int) -> Representation:
@@ -522,28 +503,22 @@ def projective_rep(fs: FactorSet) -> ProjectiveRep:
     """
     fs.validate()
     n = len(fs.orders)
-    # c_j; a factor of order 1 has only the identity
+    # c_j and its element number: the radix, or 0 for a factor of order 1
     cgen = [tuple(int(i == j) % fs.orders[i] for i in range(n)) for j in range(n)]
-    omega = [[fs.phi(cgen[j], cgen[k]) / fs.phi(cgen[k], cgen[j]) for k in range(n)] for j in range(n)]
-
-    nhat = 1
-    for j in range(n):
-        for k in range(n):
-            nhat = lcm(nhat, omega[j][k].den)
-    nhat = max(nhat, 2)
-    raw = [[omega[j][k].num * (nhat // omega[j][k].den) for k in range(n)] for j in range(n)]
+    c = [fs._number(g) for g in cgen]
+    # Python ints: den may be up to 2**62, so sums of exponents can pass int64
+    e, den = fs.exp.tolist(), fs.den
+    omega = [[Phase(e[c[j]][c[k]] - e[c[k]][c[j]], den) for k in range(n)] for j in range(n)]
+    nhat = max(2, lcm(*(w.den for row in omega for w in row)))
+    raw = [[w.num * (nhat // w.den) for w in row] for row in omega]
     spec = GcaSpec(validate_tmatrix(raw, nhat), fs.orders)
     rep = build_representation(spec)
 
+    # D(c_j)^(N_j) must be prod_(p < N_j) phi(c_j, c_j^p) while e_j^(N_j) = 1: scale by an N_j-th root
     dgens = []
-    for j in range(n):
-        acc = ONE
-        for p in range(1, fs.orders[j] + 1):
-            power = tuple(
-                ((fs.orders[j] - p) if i == j else 0) % fs.orders[i] for i in range(n)
-            )
-            acc = acc * fs.phi(cgen[j], power).inverse()
-        dgens.append(rep.gens[j].scale(acc.root(fs.orders[j]).inverse()))
+    for j, nj in enumerate(fs.orders):
+        acc = Phase(-sum(e[c[j]][p * c[j]] for p in range(nj)), den)
+        dgens.append(rep.gens[j].scale(acc.root(nj).inverse()))
 
     coeff = {fs.identity: ONE}
     dmap = {fs.identity: MonomialMatrix.identity(rep.dim)}
@@ -556,10 +531,10 @@ def projective_rep(fs: FactorSet) -> ProjectiveRep:
 
     elems = list(fs.elements())
     words = [dmap[g] for g in elems]
-    mul, exp = fs._mul.tolist(), fs.exp.tolist()
+    mul = fs._mul.tolist()
     for i, g in enumerate(elems):
         for k, h in enumerate(elems):
-            if words[i] @ words[k] != words[mul[i][k]].scale(Phase(exp[i][k], fs.den)):
+            if words[i] @ words[k] != words[mul[i][k]].scale(Phase(e[i][k], den)):
                 raise InvalidFactorSet(
                     f"representation property fails at pair {(g, h)}"
                 )

@@ -214,6 +214,8 @@ def doc_to_factor_set(doc: dict) -> FactorSet:
         ht = tuple(_as_int(x, "h entry") for x in h)
         if len(gt) != len(orders) or len(ht) != len(orders):
             raise ValueError("g and h must match the number of orders")
+        if (gt, ht) in table:
+            raise ValueError(f"table has a second entry for {(gt, ht)}")
         table[(gt, ht)] = _parse_phase(row, "table entry")
     try:
         return FactorSet(orders, table)

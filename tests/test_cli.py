@@ -8,6 +8,7 @@ to alter the documents, with
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -99,6 +100,15 @@ def test_projrep_rejects_a_short_table_before_listing_the_group():
     assert err == "error: bad factor set: table has 0 entries, need 100000000000000000000\n"
 
 
+def test_projrep_rejects_a_repeated_pair():
+    rows = [{"g": [a], "h": [b], "num": 0, "den": 1} for a in range(2) for b in range(2)]
+    # a fifth row with another phase, and four rows that repeat one pair and omit another
+    for table, pair in ((rows + [{"g": [1], "h": [1], "num": 1, "den": 2}], "((1,), (1,))"),
+                        (rows[:-1] + rows[:1], "((0,), (0,))")):
+        code, out, err = call(["projrep", json.dumps({"orders": [2], "table": table})])
+        assert (code, out, err) == (2, "", f"error: table has a second entry for {pair}\n")
+
+
 def test_projrep_from_stdin_style_file(tmp_path):
     fs = FactorSet.bilinear((2, 2), [[0, "1/2"], [0, 0]])
     path = tmp_path / "fs.json"
@@ -122,6 +132,25 @@ def decode_dense(doc):
     rows, cols = doc["dim_rows"], doc["dim_cols"]
     flat = doc["entries"]
     return np.array([e["re"] + 1j * e["im"] for e in flat]).reshape(rows, cols)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ldiag", "--lam", "nan,1"], "error: coefficients must be finite, got (nan+0j)\n"),
+        (["ldiag", "--lam", "1,-inf"], "error: coefficients must be finite, got (-inf+0j)\n"),
+        (["ldiag", "--lam", "1e200,1e200"], "error: Lambda = inf is not finite\n"),
+        (["lmat", "--lam", "nan,1"], "error: coefficients must be finite, got (nan+0j)\n"),
+        (["lmat", "--lam", "1e200,1e200"], "error: the sum of lam_j^2 overflows the float range\n"),
+    ],
+)
+def test_non_finite_coefficients_exit_two_with_one_line(argv, message):
+    for extra in ([], ["--pretty"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = call(argv + extra)
+        assert (code, out, err) == (2, "", message)
+        assert caught == []
 
 
 def test_ldiag_produces_unitary():
@@ -410,10 +439,34 @@ README_EXAMPLES = [
 ]
 
 
+def _bilinear_doc(orders, k, m):
+    """Factor-set document of phi(g, h) = e^(2*pi*i * g_k h_m / N_k), written out row by row."""
+    elems = list(itertools.product(*(range(nj) for nj in orders)))
+    rows = [{"g": list(g), "h": list(h), "num": g[k] * h[m] % orders[k], "den": orders[k]}
+            for g in elems for h in elems]
+    return json.dumps({"orders": list(orders), "table": rows}, separators=(",", ":"))
+
+
+# the builder paths on inputs with more than one pair: rep on multi-block T
+# (the nhat 12 one has a commuting generator), magnetic with three nonzero
+# fluxes, and projrep with and without a factor of order 1
+BUILDER_EXAMPLES = [
+    (["rep", "[[0,2,1,3],[-2,0,3,0],[-1,-3,0,2],[-3,0,-2,0]]", "--nhat", "6"], None),
+    (["rep", "[[0,2,4,6,1],[-2,0,2,4,6],[-4,-2,0,2,4],[-6,-4,-2,0,2],[-1,-6,-4,-2,0]]",
+      "--nhat", "8"], None),
+    (["rep", "[[0,4,6,0,2],[-4,0,2,0,6],[-6,-2,0,0,4],[0,0,0,0,0],[-2,-6,-4,0,0]]",
+      "--nhat", "12"], None),
+    (["rep", "[[0,6,10,15],[-6,0,5,12],[-10,-5,0,20],[-15,-12,-20,0]]", "--nhat", "30"], None),
+    (["magnetic", '{"f12":[1,2],"f13":[1,3],"f23":[1,4]}', "--steps", "1,2,3"], None),
+    (["projrep", _bilinear_doc((2, 2), 0, 1)], None),
+    (["projrep", _bilinear_doc((3, 1, 3), 0, 2)], None),
+]
+
+
 def _golden_cases():
     return [
         {"argv": argv + extra, "stdin": stdin}
-        for argv, stdin in README_EXAMPLES
+        for argv, stdin in README_EXAMPLES + BUILDER_EXAMPLES
         for extra in ([], ["--pretty"])
     ]
 
@@ -445,7 +498,7 @@ def _record():
             raise SystemExit(f"{case['argv']}: {err}")
         cases.append({**case, "code": code, "sha256": digest})
     with open(GOLDEN_CLI, "w", encoding="utf-8") as fh:
-        json.dump({"about": "sha256 of the stdout of gcakit for the README examples",
+        json.dump({"about": "sha256 of the stdout of gcakit for the README and builder examples",
                    "cases": cases}, fh, indent=1)
         fh.write("\n")
     print(f"recorded {len(cases)} cases in {GOLDEN_CLI}")

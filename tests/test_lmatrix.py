@@ -10,7 +10,9 @@ from gcakit import (
     DimensionMismatch,
     EvenGeneratorCount,
     GcaSpec,
+    GcaError,
     LSpec,
+    NotFinite,
     NotReal,
     ZeroVector,
     clifford_generators,
@@ -147,6 +149,32 @@ def test_diagonalize_rejects_bad_input():
         diagonalize_l(LSpec((0, 0, 0), rep))
     with pytest.raises(BadOrder):
         diagonalize_l(LSpec((1, 1), ordered_gca_generators(2, 3)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), complex(1, float("nan"))])
+def test_lspec_rejects_non_finite_coefficients(bad):
+    with pytest.raises(NotFinite, match="coefficients must be finite"):
+        LSpec((bad, 1, 0), clifford_generators(3))
+
+
+def test_diagonalize_rejects_an_overflowing_lambda():
+    # each coefficient is finite, but sum lam_j^2 leaves the float range
+    with pytest.raises(NotFinite, match="Lambda = inf is not finite"):
+        diagonalize_l(LSpec((1e200, 1e200), clifford_generators(2)))
+
+
+def test_diagonalize_fails_a_nan_deviation(monkeypatch):
+    # a NaN compares false both ways: the gate must fail it, not pass it
+    from gcakit import lmatrix
+
+    monkeypatch.setattr(lmatrix, "max_abs_diff", lambda a, b: float("nan"))
+    with pytest.raises(GcaError, match="conjugation check failed, deviation nan"):
+        diagonalize_l(LSpec((1, 2, 2), clifford_generators(3)))
+
+
+def test_power_check_rejects_an_overflowing_scalar():
+    with pytest.raises(NotFinite, match="overflows the float range"):
+        nth_power_check(LSpec((1e200, 1e200), clifford_generators(2)))
 
 
 # ---------------------------------------------------------------------------

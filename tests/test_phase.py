@@ -109,6 +109,14 @@ def test_from_complex_rejects_bad_input():
         Phase.from_complex(cmath.exp(2j * math.pi / math.sqrt(2)))
 
 
+@pytest.mark.parametrize(
+    "z", [complex("nan"), complex(1, float("nan")), complex("inf"), complex(float("-inf"), 1)]
+)
+def test_from_complex_rejects_non_finite_input(z):
+    with pytest.raises(IrrationalPhase, match="is not 1"):
+        Phase.from_complex(z)
+
+
 def test_str_forms():
     assert str(ONE) == "1"
     assert str(MINUS_ONE) == "-1"

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -33,10 +34,12 @@ from gcakit import (
     ordered_mu,
     projective_rep,
     shift,
+    skew_normal_form,
     to_dense,
     validate_tmatrix,
     verify_gca,
     verify_relations,
+    weyl_pair_for,
 )
 from gcakit.matrices import MonomialMatrix
 from gcakit.repbuilder import sigma1, sigma2, sigma3
@@ -792,3 +795,135 @@ def test_numpy_integer_orders_are_accepted_as_ints():
     assert spec.orders == (2, 4) and all(type(x) is int for x in spec.orders)
     assert spec == GcaSpec(t, [2, 4])
     assert verify_relations(clifford_generators(2).gens, t, np.array([2, 2])).overall
+
+
+# ---------------------------------------------------------------------------
+# the tensor-chain builder and the exponent-table set-up against the routes
+# they replaced: full-dimension pair embeddings and Phase products on tuples
+
+
+def slot_embed(mat, slot, dims):
+    # slot 0 is the leftmost (slowest) tensor factor
+    factors = [mat if i == slot else MonomialMatrix.identity(d) for i, d in enumerate(dims)]
+    return reduce(lambda a, b: a.tensor(b), factors)
+
+
+def build_by_embedding(spec):
+    """(dim, gens, mu) with e_j = mu_j * eps_1^(u_j1) ... eps_2s^(u_j,2s) at full dimension."""
+    f = skew_normal_form(spec.t)
+    pairs = [weyl_pair_for(tj, spec.nhat) for tj in f.t_inv]
+    dims = [pairs[i].order for i in reversed(range(f.s))]
+    eps = []
+    for i, pair in enumerate(pairs):
+        eps += [slot_embed(pair.a, f.s - 1 - i, dims), slot_embed(pair.b, f.s - 1 - i, dims)]
+    gens, mus = [], []
+    for j in range(spec.n):
+        word = MonomialMatrix.identity(prod(dims))
+        for k in range(2 * f.s):
+            if f.u[j][k]:
+                word = word @ (eps[k] ** f.u[j][k])
+        inv = (word ** spec.orders[j]).scalar_phase().inverse()
+        mus.append(Phase(inv.num, inv.den * spec.orders[j]))
+        gens.append(word.scale(mus[-1]))
+    return prod(dims), tuple(gens), tuple(mus)
+
+
+@st.composite
+def congruent_specs(draw, max_dim=256):
+    """T = U Tcal U^T for a random unimodular U, with s = 0 and zero-tail blocks drawn."""
+    n = draw(st.integers(1, 7))
+    nhat = draw(st.integers(2, 30))
+    blocks, dim = [], 1
+    for _ in range(draw(st.integers(0, n // 2))):
+        # the block's pair order d divides nhat; the product of the orders stays small
+        orders = [d for d in range(2, nhat + 1) if nhat % d == 0 and dim * d <= max_dim]
+        if not orders:
+            break
+        d = draw(st.sampled_from(orders))
+        tau = draw(st.sampled_from([x for x in range(1, d) if gcd(x, d) == 1]))
+        blocks.append(tau * (nhat // d))
+        dim *= d
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([-2, -1, 1, 2]))
+    for i, j, c in draw(st.lists(steps, max_size=2 * n)):
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    tcal = np.zeros((n, n), dtype=object)
+    for j, b in enumerate(blocks):
+        tcal[2 * j, 2 * j + 1], tcal[2 * j + 1, 2 * j] = b, -b
+    ua = np.array(u, dtype=object).reshape(n, n)
+    return GcaSpec(validate_tmatrix((ua @ tcal @ ua.T).tolist(), nhat), (nhat,) * n)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(congruent_specs())
+def test_tensor_chain_matches_the_embedded_pair_words(spec):
+    rep = build_representation(spec)
+    assert (rep.dim, rep.gens, rep.mu) == build_by_embedding(spec)
+
+
+def test_tensor_chain_matches_the_embedded_pair_words_on_fixed_specs():
+    # s = 0, one block with a zero tail, and the anticommuting and ordered families
+    specs = [GcaSpec(validate_tmatrix([[0]], 5), (1,)),
+             GcaSpec(validate_tmatrix([[0, 0], [0, 0]], 4), (4, 2)),
+             GcaSpec(validate_tmatrix([[0, 3, 0], [-3, 0, 0], [0, 0, 0]], 12), (12, 12, 12))]
+    specs += [GcaSpec(anticommuting_t(n), (2,) * n) for n in range(1, 8)]
+    specs += [random_spec(np.random.default_rng(seed), 5, nhat) for seed in range(3) for nhat in (6, 12)]
+    for spec in specs:
+        rep = build_representation(spec)
+        assert (rep.dim, rep.gens, rep.mu) == build_by_embedding(spec)
+
+
+def projective_setup_by_phases(fs):
+    """(commutators, D(c_j)) from Phase products over element tuples."""
+    n = len(fs.orders)
+    cgen = [tuple(int(i == j) % fs.orders[i] for i in range(n)) for j in range(n)]
+    omega = [[fs.phi(cgen[j], cgen[k]) / fs.phi(cgen[k], cgen[j]) for k in range(n)] for j in range(n)]
+    nhat = 1
+    for j in range(n):
+        for k in range(n):
+            nhat = lcm(nhat, omega[j][k].den)
+    nhat = max(nhat, 2)
+    raw = [[omega[j][k].num * (nhat // omega[j][k].den) for k in range(n)] for j in range(n)]
+    _, gens, _ = build_by_embedding(GcaSpec(validate_tmatrix(raw, nhat), fs.orders))
+    dgens = []
+    for j in range(n):
+        acc = ONE
+        for p in range(1, fs.orders[j] + 1):
+            power = tuple(((fs.orders[j] - p) if i == j else 0) % fs.orders[i] for i in range(n))
+            acc = acc * fs.phi(cgen[j], power).inverse()
+        dgens.append(gens[j].scale(acc.root(fs.orders[j]).inverse()))
+    return tuple(tuple(row) for row in omega), tuple(dgens)
+
+
+def twisted(fs, f):
+    """fs times the coboundary f(g) f(h) / f(gh), with f(E) = 1."""
+    table = {(g, h): p * f[g] * f[h] / f[fs.mul(g, h)] for (g, h), p in fs.table.items()}
+    return FactorSet(fs.orders, table)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(group_orders, st.data())
+def test_exponent_table_set_up_matches_the_phase_loop(orders, data):
+    fs = FactorSet.bilinear(orders, bilinear_exponents(lambda: data.draw(st.integers(0, 11)), orders))
+    if data.draw(st.booleans()):
+        # a coboundary keeps the cocycle but makes phi(c_j, c_j^p) other than bilinear
+        elems = list(fs.elements())
+        f = {g: Phase(data.draw(st.integers(0, 9)), 10) for g in elems}
+        f[fs.identity] = ONE
+        fs = twisted(fs, f)
+    pr = projective_rep(fs)
+    assert (pr.commutators, pr.gens) == projective_setup_by_phases(fs)
+
+
+def test_exponent_table_set_up_sums_exponents_past_int64():
+    # a coboundary on Z_5 over a denominator near 2**62 whose phi(c, c^p),
+    # p = 1..4, each have exponent ~0.75 den: their sum 3 den passes int64
+    den = 5 * (2**62 // 5)
+    f, want = [0, den // 5], 3 * den // 4 + 2
+    for _ in range(3):  # f(c^(p+1)) = f(c) f(c^p) / phi(c, c^p)
+        f.append((f[1] + f[-1] - want) % den)
+    fs = twisted(FactorSet.trivial((5,)), {(k,): Phase(f[k], den) for k in range(5)})
+    assert fs.den == den and sum(fs.exp.tolist()[1]) == 3 * den >= 2**63
+    pr = projective_rep(fs)
+    assert (pr.commutators, pr.gens) == projective_setup_by_phases(fs)

@@ -121,6 +121,17 @@ def test_factor_set_document_validation():
         doc_to_factor_set(doc)
 
 
+def test_factor_set_document_rejects_a_repeated_pair():
+    doc = factor_set_to_doc(FactorSet.trivial((2,)))
+    # a fifth row for ((1,), (1,)) with another phase: the later row must not win
+    extra = dict(doc, table=doc["table"] + [{"g": [1], "h": [1], "num": 1, "den": 2}])
+    # one pair twice and another missing: four rows, but not the four pairs
+    swapped = dict(doc, table=doc["table"][:-1] + [doc["table"][0]])
+    for broken in (extra, swapped):
+        with pytest.raises(ValueError, match=r"table has a second entry for \(\(\d+,\), \(\d+,\)\)"):
+            doc_to_factor_set(broken)
+
+
 def test_flux_round_trip():
     lat = MagneticLattice((1, 3), (2, 5), 0)
     doc = flux_to_doc(lat)
