@@ -42,18 +42,7 @@ from .lmatrix import (
     nth_power_check,
     sigma_operation,
 )
-from .matrices import (
-    DEFAULT_TOL,
-    MonomialMatrix,
-    adjoint,
-    is_hermitian,
-    is_unitary,
-    mat_mul,
-    max_abs_diff,
-    tensor,
-    to_dense,
-    trace_inner,
-)
+from .matrices import DEFAULT_TOL, MonomialMatrix, max_abs_diff, to_dense
 from .phase import IMAG, MINUS_IMAG, MINUS_ONE, ONE, Phase
 from .phasespace import (
     CanonicalParams,
@@ -128,8 +117,7 @@ __all__ = [
     "__version__",
     # phases and matrices
     "Phase", "ONE", "MINUS_ONE", "IMAG", "MINUS_IMAG",
-    "MonomialMatrix", "DEFAULT_TOL", "tensor", "mat_mul", "adjoint",
-    "trace_inner", "to_dense", "is_hermitian", "is_unitary", "max_abs_diff",
+    "MonomialMatrix", "DEFAULT_TOL", "to_dense", "max_abs_diff",
     # integer data
     "TMatrix", "SkewNormalForm", "validate_tmatrix", "skew_normal_form",
     "verify_congruence", "int_det",

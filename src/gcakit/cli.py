@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from .errors import GcaError, UnsupportedTransform
+from .errors import GcaError, NotFinite, UnsupportedTransform
 from .lmatrix import LSpec, diagonalize_l, family_rep, l_matrix, nth_power_check
 from .matrices import DEFAULT_TOL, MonomialMatrix, max_abs_diff
 from .phase import Phase
@@ -109,7 +110,10 @@ def _any_matrix(arg: str):
         arr = np.asarray(doc)
         if arr.ndim != 2:
             raise ValueError(f"bare matrix must be 2d, got shape {arr.shape}")
-        return arr.astype(complex)
+        try:
+            return arr.astype(complex)
+        except OverflowError:  # an integer past the float range
+            raise NotFinite("matrix entries must be finite") from None
     raise ValueError("matrix argument must be an object or an array")
 
 
@@ -603,6 +607,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         except ValueError:
             print(f"error: GCAKIT_TOL is not a number: {env!r}", file=stderr)
             return 2
+    if not math.isfinite(args.tol):
+        print(f"error: tolerance must be finite, got {args.tol}", file=stderr)
+        return 2
     if args.tol <= 0:
         print(f"error: tolerance must be positive, got {args.tol}", file=stderr)
         return 2

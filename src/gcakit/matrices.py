@@ -29,13 +29,7 @@ __all__ = [
     "DEFAULT_TOL",
     "MonomialMatrix",
     "phase_sum",
-    "tensor",
-    "mat_mul",
-    "adjoint",
-    "trace_inner",
     "to_dense",
-    "is_hermitian",
-    "is_unitary",
     "max_abs_diff",
 ]
 
@@ -47,6 +41,30 @@ def _check_den(den: int) -> int:
     if den > MAX_DEN:
         raise DenominatorOverflow(f"common phase denominator {den} exceeds 2**62")
     return den
+
+
+def _int_vector(values, what: str) -> np.ndarray:
+    """A fresh int64 copy of values; bools, floats and other non-integers are rejected."""
+    arr = np.array(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must hold integers, got {arr.dtype} entries")
+    return arr.astype(np.int64)
+
+
+def _validated(target, exp, den) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integer arrays (target, exp mod den) and den, checked for a monomial matrix."""
+    if isinstance(den, bool) or not isinstance(den, (int, np.integer)):
+        raise ValueError(f"denominator must be an integer, got {den!r}")
+    if den < 1:
+        raise ValueError(f"denominator must be >= 1, got {den}")
+    den = _check_den(int(den))
+    target = _int_vector(target, "target")
+    exp = _int_vector(exp, "exp") % den
+    if target.ndim != 1 or exp.shape != target.shape:
+        raise DimensionMismatch("target and exp must be vectors of one length")
+    if not np.array_equal(np.sort(target), np.arange(len(target))):
+        raise ValueError("target must be a permutation of 0..dim-1")
+    return target, exp, den
 
 
 def _phase_exponents(phases) -> tuple[np.ndarray, int]:
@@ -120,10 +138,9 @@ class MonomialMatrix:
     def __post_init__(self, dim: int, target, phase):
         if len(target) != dim or len(phase) != dim:
             raise DimensionMismatch("target/phase length must equal dim")
-        if sorted(target) != list(range(dim)):
-            raise ValueError("target must be a permutation of 0..dim-1")
-        exp, den = _phase_exponents(phase)
-        self._init(np.array(target, dtype=np.int64), exp, den)
+        if not all(isinstance(p, Phase) for p in phase):
+            raise ValueError("phase entries must be Phase values")
+        self._init(*_validated(target, *_phase_exponents(phase)))
 
     def _init(self, target: np.ndarray, exp: np.ndarray, den: int) -> None:
         setattr_ = object.__setattr__
@@ -141,18 +158,12 @@ class MonomialMatrix:
 
     @classmethod
     def from_exponents(cls, target, exp, den: int) -> "MonomialMatrix":
-        """Column c holds e^(2*pi*i*exp[c]/den) in row target[c]; exp is taken mod den."""
-        if den < 1:
-            raise ValueError(f"denominator must be >= 1, got {den}")
-        _check_den(den)
-        # copies, so later changes to the caller's arrays cannot reach the matrix
-        target = np.array(target, dtype=np.int64)
-        exp = np.array(exp, dtype=np.int64) % den
-        if target.ndim != 1 or exp.shape != target.shape:
-            raise DimensionMismatch("target and exp must be vectors of one length")
-        if not np.array_equal(np.sort(target), np.arange(len(target))):
-            raise ValueError("target must be a permutation of 0..dim-1")
-        return cls._new(target, exp, den)
+        """Column c holds e^(2*pi*i*exp[c]/den) in row target[c]; exp is taken mod den.
+
+        The arrays are copied, so later changes to the caller's arrays cannot
+        reach the matrix.
+        """
+        return cls._new(*_validated(target, exp, den))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MonomialMatrix is immutable; cannot set {name!r}")
@@ -229,15 +240,18 @@ class MonomialMatrix:
         return self.adjoint()
 
     def __pow__(self, k: int) -> "MonomialMatrix":
-        base = self if k >= 0 else self.inverse()
+        if k == 0:
+            return MonomialMatrix.identity(self.dim)
+        base = self if k > 0 else self.inverse()
         k = abs(k)
-        acc = MonomialMatrix.identity(self.dim)
-        while k:
+        acc = None
+        while True:
             if k & 1:
-                acc = acc @ base
-            base = base @ base
+                acc = base if acc is None else acc @ base
             k >>= 1
-        return acc
+            if not k:
+                return acc
+            base = base @ base
 
     def tensor(self, other: "MonomialMatrix") -> "MonomialMatrix":
         """Kronecker product; the left factor is the slow (row-major) index."""
@@ -298,62 +312,8 @@ def to_dense(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
-def tensor(a, b):
-    """Kronecker product, monomial when both factors are monomial."""
-    if isinstance(a, MonomialMatrix) and isinstance(b, MonomialMatrix):
-        return a.tensor(b)
-    return np.kron(to_dense(a), to_dense(b))
-
-
-def mat_mul(a, b):
-    """Matrix product, monomial when both factors are monomial."""
-    if isinstance(a, MonomialMatrix) and isinstance(b, MonomialMatrix):
-        return a @ b
-    da, db = to_dense(a), to_dense(b)
-    if da.shape[1] != db.shape[0]:
-        raise DimensionMismatch(f"inner dims {da.shape[1]} != {db.shape[0]}")
-    return da @ db
-
-
-def adjoint(a):
-    if isinstance(a, MonomialMatrix):
-        return a.adjoint()
-    return to_dense(a).conj().T
-
-
-def trace_inner(x, y) -> complex:
-    """Frobenius pairing Tr[x^dagger y].
-
-    For two monomial operands the trace is evaluated by exact coset
-    cancellation, so orthogonality of clock/shift basis words comes out as
-    a bit-exact 0 or integer, never a 1e-16 residue.
-    """
-    if isinstance(x, MonomialMatrix) and isinstance(y, MonomialMatrix):
-        if x.dim != y.dim:
-            raise DimensionMismatch(f"dims {x.dim} != {y.dim}")
-        return (x.adjoint() @ y).trace_exact()
-    dx, dy = to_dense(x), to_dense(y)
-    if dx.shape != dy.shape or dx.shape[0] != dx.shape[1]:
-        raise DimensionMismatch(f"shapes {dx.shape} vs {dy.shape}")
-    return complex(np.vdot(dx, dy))
-
-
 def max_abs_diff(a, b) -> float:
     da, db = to_dense(a), to_dense(b)
     if da.shape != db.shape:
         raise DimensionMismatch(f"shapes {da.shape} vs {db.shape}")
     return float(np.max(np.abs(da - db))) if da.size else 0.0
-
-
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    d = to_dense(a)
-    if d.shape[0] != d.shape[1]:
-        raise DimensionMismatch("hermiticity needs a square matrix")
-    return float(np.max(np.abs(d - d.conj().T))) <= tol
-
-
-def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
-    d = to_dense(a)
-    if d.shape[0] != d.shape[1]:
-        raise DimensionMismatch("unitarity needs a square matrix")
-    return float(np.max(np.abs(d.conj().T @ d - np.eye(d.shape[0])))) <= tol

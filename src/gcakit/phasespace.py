@@ -32,7 +32,7 @@ from .phase import Phase
 from .repbuilder import GcaSpec, Representation, build_representation
 from .report import Check, VerificationReport
 from .skewnormal import validate_tmatrix
-from .weylpairs import clock, shift
+from .weylpairs import clock, shift, weyl_word
 
 __all__ = [
     "weyl_word",
@@ -54,11 +54,6 @@ __all__ = [
     "magnetic_translation_rep",
     "bloch_phase",
 ]
-
-
-def weyl_word(order: int, k: int, l: int) -> MonomialMatrix:
-    """The unitary word A^k B^l on the order-N clock/shift pair."""
-    return (shift(order) ** k) @ (clock(order) ** l)
 
 
 def _square_dense(m) -> np.ndarray:

@@ -49,7 +49,7 @@ from .matrices import (
 from .phase import IMAG, MINUS_IMAG, MINUS_ONE, ONE, Phase
 from .report import Check, VerificationReport
 from .skewnormal import TMatrix, skew_normal_form, validate_tmatrix
-from .weylpairs import clock, shift, weyl_pair_for
+from .weylpairs import clock, shift, weyl_pair_for, weyl_word
 
 __all__ = [
     "GcaSpec",
@@ -157,7 +157,7 @@ def build_representation(spec: GcaSpec) -> Representation:
     for j in range(spec.n):
         u = f.u[j]
         # W_i at the pair's own order; the chain runs pair s, ..., pair 1 from the left
-        words = [p.a ** u[2 * i] @ p.b ** u[2 * i + 1] for i, p in enumerate(pairs)]
+        words = [weyl_word(p.order, u[2 * i], p.tau * u[2 * i + 1]) for i, p in enumerate(pairs)]
         word = _chain(words[::-1]) if words else MonomialMatrix.identity(1)
         zeta = (word ** spec.orders[j]).scalar_phase()
         if zeta is None:
@@ -335,7 +335,7 @@ def ordered_gca_generators(n: int, n_order: int) -> Representation:
     m = n // 2
     a = shift(n_order)
     b = clock(n_order)
-    ab = a.inverse() @ b
+    ab = weyl_word(n_order, -1, 1)
     mu = ordered_mu(n_order)
     ident = MonomialMatrix.identity(n_order)
     gens: list[MonomialMatrix] = []

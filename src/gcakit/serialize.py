@@ -17,7 +17,8 @@ Multiplier tables and flux triples:
 
     {"f12": [p, q], "f13": [p, q], "f23": [p, q]}
 
-Parsers raise ValueError on malformed documents.
+Parsers raise ValueError on malformed documents, and NotFinite on a dense
+entry that is NaN, infinite or an integer past the float range.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 
 import numpy as np
 
+from .errors import NotFinite
 from .matrices import MonomialMatrix
 from .phase import Phase
 from .phasespace import MagneticLattice
@@ -150,7 +152,8 @@ def _parse_phase(d, what: str) -> Phase:
 
 
 def doc_to_matrix(doc: dict):
-    """Inverse of matrix_to_doc; ValueError on anything malformed."""
+    """Inverse of matrix_to_doc; ValueError on anything malformed, NotFinite
+    on a dense entry that is NaN, infinite or past the float range."""
     kind = _need(doc, "kind")
     if kind == "monomial":
         dim = _as_int(_need(doc, "dim"), "dim")
@@ -182,8 +185,14 @@ def doc_to_matrix(doc: dict):
                 raise ValueError("entries must be numbers")
             if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
                 raise ValueError("entries must be numbers")
-            flat.append(complex(re, im))
-        return np.array(flat, dtype=complex).reshape(rows, cols)
+            try:
+                flat.append(complex(re, im))
+            except OverflowError:  # an integer past the float range
+                raise NotFinite("matrix entries must be finite") from None
+        arr = np.array(flat, dtype=complex)
+        if not np.isfinite(arr).all():
+            raise NotFinite("matrix entries must be finite")
+        return arr.reshape(rows, cols)
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 

@@ -3,8 +3,10 @@
 The order-N shift A sends basis vector |c> to |c-1 mod N>; the clock B is
 diag(1, w, ..., w^(N-1)) with w = e^(2*pi*i/N).  They satisfy A B = w B A
 and A^N = B^N = 1, and at N = 2 reduce to the Pauli matrices sigma1 and
-sigma3.  A block with commutation exponent t mod nhat is realized by the
-pair (A, B^tau) of order N_t = nhat/gcd(t, nhat) with tau = t/gcd(t, nhat).
+sigma3.  Every word A^k B^l, A and B included, is built in closed form by
+weyl_word: column c holds w^(l*c) in row (c - k) mod N.  A block with
+commutation exponent t mod nhat is realized by the pair (A, B^tau) of order
+N_t = nhat/gcd(t, nhat) with tau = t/gcd(t, nhat).
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import numpy as np
 
 from .errors import BadOrder, DegenerateBlock
 from .matrices import MonomialMatrix
-from .phase import ONE, Phase
+from .phase import Phase
 
 __all__ = [
     "WeylPair",
     "shift",
     "clock",
+    "weyl_word",
     "symmetric_pair",
     "weyl_pair_for",
     "sylvester",
@@ -30,18 +33,28 @@ __all__ = [
 ]
 
 
+def weyl_word(order: int, k: int, l: int) -> MonomialMatrix:
+    """The unitary word A^k B^l on the order-N clock/shift pair.
+
+    B^l puts w^(l*c) on column c and A^k moves it to row c - k, so the word
+    is two index arrays over the denominator N, with no product or power.
+    """
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+        raise BadOrder(f"order must be an integer, got {order!r}")
+    if order < 1:
+        raise BadOrder(f"order must be >= 1, got {order}")
+    c = np.arange(order, dtype=np.int64)
+    return MonomialMatrix._new((c - k % order) % order, (l % order) * c % order, order)
+
+
 def shift(n: int) -> MonomialMatrix:
     """Cyclic shift: |c> -> |c-1 mod n>, i.e. ones on the superdiagonal."""
-    if n < 1:
-        raise BadOrder(f"order must be >= 1, got {n}")
-    return MonomialMatrix.from_exponents((np.arange(n) - 1) % n, np.zeros(n), 1)
+    return weyl_word(n, 1, 0)
 
 
 def clock(n: int) -> MonomialMatrix:
     """diag(1, w, ..., w^(n-1)) with w = e^(2*pi*i/n)."""
-    if n < 1:
-        raise BadOrder(f"order must be >= 1, got {n}")
-    return MonomialMatrix.from_exponents(np.arange(n), np.arange(n), n)
+    return weyl_word(n, 0, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,28 +71,24 @@ class WeylPair:
         return self.omega ** self.tau
 
 
-def weyl_pair_for(t_j: int, nhat: int, allow_degenerate: bool = False) -> WeylPair:
+def weyl_pair_for(t_j: int, nhat: int) -> WeylPair:
     """Realize the commutation phase e^(2*pi*i*t_j/nhat) on the smallest pair.
 
     With g = gcd(t_j, nhat) the pair has order nhat/g and uses the clock
     power tau = t_j/g, which is coprime to the order.  A vanishing t_j mod
-    nhat means the pair commutes; that is an error unless allow_degenerate,
-    in which case the trivial 1-dimensional pair is returned.
+    nhat means the pair commutes, which is an error.
     """
     if nhat < 2:
         raise BadOrder(f"nhat must be >= 2, got {nhat}")
     t = t_j % nhat
     if t == 0:
-        if allow_degenerate:
-            one = MonomialMatrix.identity(1)
-            return WeylPair(one, one, order=1, tau=0, omega=ONE)
         raise DegenerateBlock(f"t_j = {t_j} vanishes mod {nhat}")
     g = gcd(t, nhat)
     order = nhat // g
     tau = t // g
     return WeylPair(
         a=shift(order),
-        b=clock(order) ** tau,
+        b=weyl_word(order, 0, tau),
         order=order,
         tau=tau,
         omega=Phase(1, order),

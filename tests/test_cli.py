@@ -324,6 +324,28 @@ def test_tolerance_environment(monkeypatch):
     assert code == 2
 
 
+IDENTITIES_DECLARED_TO_ANTICOMMUTE = json.dumps({
+    "nhat": 2, "t": [[0, 1], [-1, 0]], "orders": [2, 2],
+    "gens": [matrix_to_doc(np.eye(2))] * 2,
+})
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "Infinity", "NaN"])
+def test_tolerance_must_be_finite(value, monkeypatch):
+    # with the default tolerance the dense check fails, as it should
+    assert call(["verify", IDENTITIES_DECLARED_TO_ANTICOMMUTE])[0] == 1
+    for argv in (
+        ["verify", IDENTITIES_DECLARED_TO_ANTICOMMUTE, f"--tol={value}"],
+        ["decompose", "[[1,2],[3,4]]", f"--tol={value}"],
+    ):
+        assert call(argv) == (2, "", f"error: tolerance must be finite, got {float(value)}\n")
+    with monkeypatch.context() as mp:
+        for argv in (["verify", IDENTITIES_DECLARED_TO_ANTICOMMUTE], ["decompose", "[[1,2],[3,4]]"]):
+            code, out, err = call(argv, env={"GCAKIT_TOL": value}, monkeypatch=mp)
+            assert (code, out) == (2, "")
+            assert err == f"error: tolerance must be finite, got {float(value)}\n"
+
+
 def test_out_writes_file(tmp_path):
     target = tmp_path / "result.json"
     code, out, _ = call(["clifford", "3", "--out", str(target)])
@@ -386,6 +408,19 @@ def test_verify_rejects_a_denominator_past_2_62():
     assert err.startswith("error: ") and err.count("\n") == 1 and "2**62" in err
 
 
+def _dense_doc(first):
+    """matrix_to_doc(identity(2)) with its first entry's real part replaced."""
+    doc = matrix_to_doc(np.eye(2))
+    doc["entries"][0]["re"] = first
+    return doc
+
+
+def _verify_doc(first) -> str:
+    """A verify document, written with json's NaN/Infinity literals where needed."""
+    return json.dumps({"nhat": 2, "t": [[0, 1], [-1, 0]], "orders": [2, 2],
+                       "gens": [_dense_doc(first), matrix_to_doc(np.eye(2))]})
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -394,6 +429,13 @@ def test_verify_rejects_a_denominator_past_2_62():
         ["decompose", "[[Infinity,0],[0,1]]"],
         ["decompose", "[[1e308,1e308],[1e308,1e308]]"],
         ["wigner", "fwd", json.dumps(np.full((3, 3), 1e308).tolist())],
+        ["decompose", "[[1" + "0" * 400 + ",0],[0,1]]"],
+        ["decompose", json.dumps(_dense_doc(10**400))],
+        ["decompose", json.dumps(_dense_doc(-10**400))],
+        ["verify", _verify_doc(float("nan"))],
+        ["verify", _verify_doc(float("nan")), "--pretty"],
+        ["verify", _verify_doc(float("inf"))],
+        ["verify", _verify_doc(-float("inf")), "--pretty"],
     ],
 )
 def test_non_finite_matrices_exit_two_with_one_line(argv):

@@ -14,14 +14,8 @@ from gcakit import (
     MonomialMatrix,
     ONE,
     Phase,
-    adjoint,
-    is_hermitian,
-    is_unitary,
     max_abs_diff,
-    mat_mul,
-    tensor,
     to_dense,
-    trace_inner,
     weyl_word,
 )
 from gcakit.matrices import phase_sum
@@ -100,7 +94,7 @@ def test_tensor_matches_kron():
 
 
 def test_tensor_square_against_dense_power():
-    big = tensor(shift(3), clock(3))
+    big = shift(3).tensor(clock(3))
     dense = np.kron(to_dense(shift(3)), to_dense(clock(3)))
     assert big.dim == 9
     assert max_abs_diff(to_dense(big @ big), np.linalg.matrix_power(dense, 2)) < 1e-14
@@ -139,24 +133,13 @@ def test_phase_sum_matches_float_sum():
         assert abs(phase_sum(phases) - ref) < 1e-12
 
 
-def test_module_level_helpers():
-    a, b = shift(4), clock(4)
-    assert max_abs_diff(to_dense(mat_mul(a, b)), to_dense(a) @ to_dense(b)) < 1e-14
-    dense = to_dense(a) + 0.5 * to_dense(b)
-    assert max_abs_diff(adjoint(dense), dense.conj().T) == 0
-    assert is_unitary(to_dense(a))
-    assert not is_unitary(2 * to_dense(a))
-    assert is_hermitian(np.array([[1, 1j], [-1j, 2]]))
-    assert not is_hermitian(to_dense(a))
-
-
 def test_word_gram_orthogonality_exact():
     n = 4
     for k in range(n):
         for l in range(n):
             for m in range(n):
                 for p in range(n):
-                    g = trace_inner(weyl_word(n, k, l), weyl_word(n, m, p))
+                    g = (weyl_word(n, k, l).adjoint() @ weyl_word(n, m, p)).trace_exact()
                     assert g == (n if (k, l) == (m, p) else 0)
 
 
@@ -244,6 +227,35 @@ def test_power_is_a_repeated_product(a, k):
     assert oracle(a**k) == ref
 
 
+def test_power_makes_no_square_past_the_last_set_bit(monkeypatch):
+    products = []
+    matmul = MonomialMatrix.__matmul__
+    monkeypatch.setattr(MonomialMatrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
+    a = random_monomial(np.random.default_rng(17), 7)
+    for k in range(-9, 10):
+        products.clear()
+        a**k
+        m = abs(k)
+        # squarings up to the top bit, plus one product per further set bit
+        want = m.bit_length() - 1 + bin(m).count("1") - 1 if m else 0
+        assert len(products) == want, k
+
+
+@PROPERTY
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(-3 * n, 3 * n), st.integers(-3 * n, 3 * n))
+))
+def test_weyl_word_is_the_closed_form_of_the_powers(nkl):
+    n, k, l = nkl
+    word = weyl_word(n, k, l)
+    assert word == (shift(n) ** k) @ (clock(n) ** l)
+    assert word == weyl_word(n, np.int64(k), np.int64(l))
+    a = np.roll(np.eye(n), -1, axis=0)  # |c> -> |c-1 mod n>
+    b = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    dense = np.linalg.matrix_power(a, k % n) @ np.linalg.matrix_power(b, l % n)
+    assert max_abs_diff(to_dense(word), dense) < 1e-12
+
+
 @PROPERTY
 @given(same_dim_monomials(2), same_dim_monomials(2))
 def test_tensor_mixed_product_law(ac, bd):
@@ -299,6 +311,40 @@ def test_from_exponents_validation():
         MonomialMatrix.from_exponents([0], [0], 0)
     with pytest.raises(DenominatorOverflow):
         MonomialMatrix.from_exponents([0], [1], 2**62 + 1)
+
+
+@pytest.mark.parametrize("target, exp", [
+    ([1.7, 0.2], [0, 1]),
+    ([1.0, 0.0], [0, 1]),
+    ([True, False], [0, 1]),
+    ([1, 0], [0.5, 1.9]),
+    ([1, 0], [1.0, 0.0]),
+    ([1, 0], [True, False]),
+])
+def test_from_exponents_rejects_entries_that_are_not_integers(target, exp):
+    with pytest.raises(ValueError, match="must hold integers"):
+        MonomialMatrix.from_exponents(target, exp, 2)
+    with pytest.raises(ValueError, match="must hold integers"):
+        MonomialMatrix.from_exponents(np.array(target), np.array(exp), 2)
+
+
+@pytest.mark.parametrize("den", [2.0, 2.5, True])
+def test_from_exponents_rejects_a_denominator_that_is_not_an_integer(den):
+    with pytest.raises(ValueError, match="denominator must be an integer"):
+        MonomialMatrix.from_exponents([1, 0], [0, 1], den)
+
+
+@pytest.mark.parametrize("target, phase", [
+    ((1.7, 0.2), (ONE, ONE)),
+    ((1.0, 0.0), (ONE, ONE)),
+    ((True, False), (ONE, ONE)),
+    ((1, 0), (0.5, 0.0)),
+    ((1, 0), (1.0, 0.0)),
+    ((1, 0), (True, False)),
+])
+def test_constructor_rejects_entries_that_are_not_integers(target, phase):
+    with pytest.raises(ValueError, match="must hold integers|must be Phase"):
+        MonomialMatrix(2, target, phase)
 
 
 def test_matrices_are_immutable():

@@ -15,6 +15,7 @@ from gcakit import (
     InvalidFactorSet,
     MagneticLattice,
     MonomialMatrix,
+    NotFinite,
     Phase,
     max_abs_diff,
 )
@@ -102,6 +103,15 @@ def test_matrix_document_validation():
     ):
         with pytest.raises(ValueError):
             doc_to_matrix(broken)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_dense_document_entries_must_be_finite(value, part):
+    doc = matrix_to_doc(np.eye(2))
+    doc["entries"][3][part] = value
+    with pytest.raises(NotFinite, match="matrix entries must be finite"):
+        doc_to_matrix(doc)
 
 
 def test_factor_set_round_trip():

@@ -16,6 +16,7 @@ from gcakit import (
     symmetric_pair,
     to_dense,
     weyl_pair_for,
+    weyl_word,
 )
 
 
@@ -49,6 +50,13 @@ def test_commutation_and_orders_exact():
         assert (b**n).is_identity()
 
 
+@pytest.mark.parametrize("order", [0, -3, 4.0, 2.5, True])
+def test_words_reject_an_order_that_is_not_a_positive_integer(order):
+    for make in (shift, clock, lambda n: weyl_word(n, 1, 1)):
+        with pytest.raises(BadOrder):
+            make(order)
+
+
 def test_weyl_pair_plain():
     p = weyl_pair_for(1, 5)
     assert p.order == 5
@@ -74,9 +82,6 @@ def test_weyl_pair_degenerate_handling():
         weyl_pair_for(0, 4)
     with pytest.raises(DegenerateBlock):
         weyl_pair_for(8, 4)
-    p = weyl_pair_for(0, 4, allow_degenerate=True)
-    assert p.order == 1
-    assert p.a.is_identity() and p.a.dim == 1
     with pytest.raises(BadOrder):
         weyl_pair_for(1, 1)
 
