@@ -1,8 +1,8 @@
 """Command line front end.
 
-Every subcommand prints a deterministic JSON document on stdout (or a
-human-readable rendering with --pretty) and exits 0 on success, 1 when a
-verification report fails, 2 on malformed input.  Matrix, factor-set and
+Every subcommand prints a deterministic JSON document on stdout (or, with
+--pretty, a human-readable rendering of the same document) and exits 0 on
+success, 1 when a verification report fails, 2 on malformed input.  Matrix, factor-set and
 flux arguments accept a file path, '-' for stdin, or an inline JSON string.
 """
 
@@ -28,7 +28,6 @@ from .phasespace import (
     bloch_phase,
     canonical_intertwiner,
     canonical_pair,
-    diagonal_slice_decomposition,
     magnetic_translation_rep,
     schwinger_coeffs,
     schwinger_reconstruct,
@@ -46,6 +45,7 @@ from .repbuilder import (
     verify_gca,
     verify_relations,
 )
+from .report import report_lines
 from .serialize import (
     doc_to_factor_set,
     doc_to_flux,
@@ -118,7 +118,7 @@ def _any_matrix(arg: str):
 
 
 # ---------------------------------------------------------------------------
-# pretty rendering
+# --pretty: one text layout for every document
 
 def _c_str(z: complex) -> str:
     re, im = z.real, z.imag
@@ -131,36 +131,80 @@ def _c_str(z: complex) -> str:
     return f"{re:.6g}{im:+.6g}i"
 
 
-def _grid(rows: list[list[str]]) -> str:
+def _finite(x):
+    # emit_json refuses the same values, so both layouts exit alike
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite value {x}")
+    return x
+
+
+def _cell(v) -> str | None:
+    """A scalar, {num, den}, {re, im} or a list of these as text; else None."""
+    if isinstance(v, list):
+        cells = [None if isinstance(x, list) else _cell(x) for x in v]
+        return None if None in cells else f"[{', '.join(cells)}]"
+    if isinstance(v, dict):
+        if v.keys() == {"num", "den"}:
+            return str(Phase(v["num"], v["den"]))
+        if v.keys() == {"re", "im"}:
+            return _c_str(complex(_finite(v["re"]), _finite(v["im"])))
+        return None
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(_finite(v))
+
+
+def _grid(rows: list[list[str]]) -> list[str]:
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    return "\n".join(
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
-    )
+    return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
 
 
-def _pretty_matrix(m) -> str:
-    if isinstance(m, MonomialMatrix):
-        cells = [["." for _ in range(m.dim)] for _ in range(m.dim)]
-        for c, (row, p) in enumerate(zip(m.target, m.phase)):
-            cells[row][c] = str(p)
-        return _grid(cells)
-    arr = np.asarray(m)
-    return _grid([[_c_str(complex(z)) for z in row] for row in arr])
+def _field(label: str, v, pad: str):
+    """The lines of one field of a document, indented by pad."""
+    cell = _cell(v)
+    if cell is not None:
+        yield f"{pad}{label} = {cell}"
+    elif isinstance(v, list) and all(isinstance(row, list) for row in v):
+        yield f"{pad}{label} ="
+        yield from (pad + "  " + line for line in _grid([[_cell(x) for x in row] for row in v]))
+    elif isinstance(v, list):
+        for j, x in enumerate(v):
+            yield from _field(f"{label}[{j}]", x, pad)
+    elif v.get("kind") == "monomial":
+        # one line per column, so the text grows with dim, not dim^2
+        yield f"{pad}{label}: monomial, dim {v['dim']}"
+        w = len(str(v["dim"] - 1))
+        for c, (row, p) in enumerate(zip(v["target"], v["phase"])):
+            yield f"{pad}  {c:>{w}} -> {row:>{w}}  {_cell(p)}"
+    elif v.get("kind") == "dense":
+        rows, cols = v["dim_rows"], v["dim_cols"]
+        yield f"{pad}{label}: dense, {rows} x {cols}"
+        cells = [_cell(z) for z in v["entries"]]
+        yield from (pad + "  " + line for line in _grid([cells[r * cols:(r + 1) * cols] for r in range(rows)]))
+    else:
+        yield f"{pad}{label}:"
+        yield from _lines(v, pad + "  ")
 
 
-def _pretty_int_matrix(rows) -> str:
-    return _grid([[str(x) for x in row] for row in rows])
+def _lines(doc: dict, pad: str = ""):
+    """The --pretty lines of a document: each field once, under its key."""
+    if doc.keys() == {"overall", "checks"}:
+        checks = ((c["name"], c["pass"], c["detail"]) for c in doc["checks"])
+        yield from (pad + line for line in report_lines(doc["overall"], checks))
+    else:
+        for key, v in doc.items():
+            yield from _field(key, v, pad)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (text, exit_code)
+# subcommand handlers; each returns (document, exit_code), selftest (text, exit_code)
 
 def _cmd_snf(args):
     raw = _int_matrix(_read_json_arg(args.tmatrix))
     t = validate_tmatrix(raw, args.nhat)
     f = skew_normal_form(t)
     report = verify_congruence(t, f)
-    doc = {
+    return {
         "nhat": t.nhat,
         "n": t.n,
         "s": f.s,
@@ -168,16 +212,7 @@ def _cmd_snf(args):
         "u": [list(row) for row in f.u],
         "tcal": [list(row) for row in f.tcal()],
         "verify": report.to_dict(),
-    }
-    if args.pretty:
-        text = (
-            f"n = {t.n}, nhat = {t.nhat}, blocks s = {f.s}, t_inv = {list(f.t_inv)}\n"
-            f"u =\n{_pretty_int_matrix(f.u)}\n"
-            f"u t u^T mod nhat =\n{_pretty_int_matrix(f.tcal())}\n{report}\n"
-        )
-    else:
-        text = emit_json(doc)
-    return text, 0 if report.overall else 1
+    }, 0 if report.overall else 1
 
 
 def _rep_doc(rep, report):
@@ -188,18 +223,7 @@ def _rep_doc(rep, report):
         "mu": [{"num": p.num, "den": p.den} for p in rep.mu],
         "gens": [matrix_to_doc(g) for g in rep.gens],
         "verify": report.to_dict(),
-    }
-
-
-def _rep_text(rep, report, pretty: bool):
-    if not pretty:
-        return emit_json(_rep_doc(rep, report))
-    lines = [f"dim = {rep.dim}, nhat = {rep.spec.nhat}, orders = {list(rep.spec.orders)}"]
-    for j, g in enumerate(rep.gens):
-        lines.append(f"e_{j + 1} (mu = {rep.mu[j]}):")
-        lines.append(_pretty_matrix(g))
-    lines.append(str(report))
-    return "\n".join(lines) + "\n"
+    }, 0 if report.overall else 1
 
 
 def _cmd_rep(args):
@@ -207,19 +231,18 @@ def _cmd_rep(args):
     t = validate_tmatrix(raw, args.nhat)
     orders = _int_list(args.orders, "--orders") if args.orders else (t.nhat,) * t.n
     rep = build_representation(GcaSpec(t, orders))
-    return _rep_text(rep, rep.report, args.pretty), 0 if rep.report.overall else 1
+    return _rep_doc(rep, rep.report)
 
 
 def _cmd_ordered(args):
     rep = ordered_gca_generators(args.n, args.order)
-    report = verify_gca(rep)
-    return _rep_text(rep, report, args.pretty), 0 if report.overall else 1
+    return _rep_doc(rep, verify_gca(rep))
 
 
 def _cmd_projrep(args):
     fs = doc_to_factor_set(_read_json_arg(args.factorset))
     pr = projective_rep(fs)
-    doc = {
+    return {
         "orders": list(pr.orders),
         "dim": pr.dim,
         "commutators": [
@@ -233,16 +256,7 @@ def _cmd_projrep(args):
             }
             for g in sorted(pr.dmap)
         ],
-    }
-    if args.pretty:
-        lines = [f"orders = {list(pr.orders)}, dim = {pr.dim}"]
-        for g in sorted(pr.dmap):
-            lines.append(f"D{tuple(g)}  (word coefficient {pr.phi_coeffs[g]}):")
-            lines.append(_pretty_matrix(pr.dmap[g]))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = emit_json(doc)
-    return text, 0
+    }, 0
 
 
 def _cmd_lmat(args):
@@ -250,74 +264,41 @@ def _cmd_lmat(args):
     rep = family_rep(len(lam), args.order)
     spec = LSpec(lam, rep)
     power = nth_power_check(spec, tol=args.tol)
-    doc = {
+    return {
         "order": power.order,
         "dim": rep.dim,
         "l": matrix_to_doc(l_matrix(spec)),
         "power_scalar": {"re": power.scalar.real, "im": power.scalar.imag},
         "power_deviation": power.deviation,
         "power_passed": power.passed,
-    }
-    if args.pretty:
-        text = (
-            f"L on the order-{power.order} family, dim {rep.dim}:\n"
-            f"{_pretty_matrix(l_matrix(spec))}\n"
-            f"L^{power.order} = {_c_str(power.scalar)} * 1, deviation "
-            f"{power.deviation:.3e}, {'ok' if power.passed else 'FAIL'}\n"
-        )
-    else:
-        text = emit_json(doc)
-    return text, 0 if power.passed else 1
+    }, 0 if power.passed else 1
 
 
 def _cmd_ldiag(args):
     lam = _float_list(args.lam, "--lam")
     spec = LSpec(lam, family_rep(len(lam), 2))
     res = diagonalize_l(spec, tol=args.tol)
-    doc = {
+    return {
         "axis": res.axis,
         "big_lambda": res.big_lambda,
         "used_fallback": res.used_fallback,
         "eig": [float(x) for x in res.eig],
         "u": matrix_to_doc(res.u),
-    }
-    if args.pretty:
-        text = (
-            f"Lambda = {res.big_lambda:.12g}, axis = e_{res.axis + 1}, "
-            f"fallback = {res.used_fallback}\n"
-            f"eigenvalues: {[round(float(x), 12) for x in res.eig]}\n"
-            f"u =\n{_pretty_matrix(res.u)}\n"
-        )
-    else:
-        text = emit_json(doc)
-    return text, 0
+    }, 0
 
 
 def _cmd_decompose(args):
     m = _any_matrix(args.matrix)
     sc = schwinger_coeffs(m)
-    alt = diagonal_slice_decomposition(m)
-    cross = max_abs_diff(sc.coeffs, alt.coeffs)
     recon = max_abs_diff(schwinger_reconstruct(sc), m)
     scale = 1.0 + float(np.max(np.abs(np.asarray(sc.coeffs))))
-    passed = cross <= args.tol * scale and recon <= args.tol * scale
-    doc = {
+    passed = recon <= args.tol * scale
+    return {
         "order": sc.order,
         "coeffs": matrix_to_doc(sc.coeffs),
-        "cross_check_deviation": float(cross),
         "reconstruction_deviation": float(recon),
         "passed": passed,
-    }
-    if args.pretty:
-        text = (
-            f"coefficients over A^k B^l (rows k, cols l), order {sc.order}:\n"
-            f"{_pretty_matrix(sc.coeffs)}\n"
-            f"slice cross-check deviation {cross:.3e}, reconstruction "
-            f"deviation {recon:.3e}, {'ok' if passed else 'FAIL'}\n"
-        )
-    else:
-        text = emit_json(doc)
-    return text, 0 if passed else 1
+    }, 0 if passed else 1
 
 
 def _cmd_wigner(args):
@@ -330,21 +311,16 @@ def _cmd_wigner(args):
         if d % 2 == 0:
             raise ValueError(f"table dimension must be odd, got {d}")
         table = WignerTable(nu=(d - 1) // 2, w=dense)
-        h = wigner_forward(table)
-        doc = {"nu": table.nu, "operator": matrix_to_doc(h)}
-        pretty = f"operator for the table (nu = {table.nu}):\n{_pretty_matrix(h)}\n"
-    else:
-        table = wigner_inverse(dense, tol=args.tol)
-        doc = {"nu": table.nu, "table": matrix_to_doc(table.w)}
-        pretty = f"table for the operator (nu = {table.nu}):\n{_pretty_matrix(table.w)}\n"
-    return (pretty if args.pretty else emit_json(doc)), 0
+        return {"nu": table.nu, "operator": matrix_to_doc(wigner_forward(table))}, 0
+    table = wigner_inverse(dense, tol=args.tol)
+    return {"nu": table.nu, "table": matrix_to_doc(table.w)}, 0
 
 
 def _cmd_canonical(args):
     p = CanonicalParams(k=args.k, l=args.l, m=args.m, n=args.n, order=args.order)
     ap, bp = canonical_pair(p)
     res = canonical_intertwiner(p, tol=args.tol)
-    doc = {
+    return {
         "params": {"k": p.k, "l": p.l, "m": p.m, "n": p.n, "order": p.order},
         "a_prime": matrix_to_doc(ap),
         "b_prime": matrix_to_doc(bp),
@@ -352,17 +328,7 @@ def _cmd_canonical(args):
         "zeta_a": {"re": res.zeta_a.real, "im": res.zeta_a.imag},
         "zeta_b": {"re": res.zeta_b.real, "im": res.zeta_b.imag},
         "verify": res.report.to_dict(),
-    }
-    if args.pretty:
-        text = (
-            f"A' =\n{_pretty_matrix(ap)}\nB' =\n{_pretty_matrix(bp)}\n"
-            f"S =\n{_pretty_matrix(res.s)}\n"
-            f"zeta_a = {_c_str(res.zeta_a)}, zeta_b = {_c_str(res.zeta_b)}\n"
-            f"{res.report}\n"
-        )
-    else:
-        text = emit_json(doc)
-    return text, 0
+    }, 0
 
 
 def _cmd_magnetic(args):
@@ -373,36 +339,20 @@ def _cmd_magnetic(args):
         "dim": mag.rep.dim,
         "gens": [matrix_to_doc(g) for g in mag.rep.gens],
     }
-    lines = [f"nhat = {mag.nhat}, dim = {mag.rep.dim}"]
     if args.steps:
         steps = _int_list(args.steps, "--steps")
         if len(steps) != 3:
             raise ValueError("--steps takes exactly three integers")
         ph = bloch_phase(lat, steps)
         doc["bloch"] = {"num": ph.num, "den": ph.den}
-        lines.append(f"loop phase for steps {list(steps)}: {ph}")
-    if args.pretty:
-        for j, g in enumerate(mag.rep.gens):
-            lines.append(f"tau_{j + 1}:")
-            lines.append(_pretty_matrix(g))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = emit_json(doc)
-    return text, 0
+    return doc, 0
 
 
 def _cmd_catalog(args):
     if not args.name:
-        return emit_json({"names": list(CATALOG_NAMES)}), 0
+        return {"names": list(CATALOG_NAMES)}, 0
     gens = catalog(args.name)
-    if args.pretty:
-        lines = []
-        for label, m in gens.items():
-            lines.append(f"{label}:")
-            lines.append(_pretty_matrix(m))
-        return "\n".join(lines) + "\n", 0
-    doc = {"name": args.name, "gens": {label: matrix_to_doc(m) for label, m in gens.items()}}
-    return emit_json(doc), 0
+    return {"name": args.name, "gens": {label: matrix_to_doc(m) for label, m in gens.items()}}, 0
 
 
 def _cmd_verify(args):
@@ -424,8 +374,7 @@ def _cmd_verify(args):
         raise ValueError("document field 'gens' must be a list of matrix documents")
     gens = [doc_to_matrix(g) for g in gens_field]
     report = verify_relations(gens, t, orders, tol=args.tol)
-    text = (str(report) + "\n") if args.pretty else emit_json(report.to_dict())
-    return text, 0 if report.overall else 1
+    return report.to_dict(), 0 if report.overall else 1
 
 
 def _cmd_selftest(args):
@@ -615,7 +564,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return 2
 
     try:
-        text, code = args.func(args)
+        doc, code = args.func(args)
+        text = doc if isinstance(doc, str) else ("\n".join(_lines(doc)) + "\n" if args.pretty else emit_json(doc))
     except UnsupportedTransform as exc:
         report = getattr(exc, "report", None)
         body = (

@@ -139,9 +139,16 @@ def diagonalize_l(spec: LSpec, tol: float = DEFAULT_TOL) -> DiagonalizationResul
         if abs(x.imag) > 0:
             raise NotReal(f"coefficients must be real, got {x}")
         lam.append(x.real)
-    big_lambda = math.sqrt(sum(x * x for x in lam))
-    if not math.isfinite(big_lambda):
-        raise NotFinite(f"Lambda = {big_lambda} is not finite")
+    # u does not change when lam is scaled, so Lambda's squares and u's
+    # normalizer are taken on lam scaled by a power of two (exact), which
+    # neither underflows nor overflows
+    e = math.frexp(max(abs(x) for x in lam))[1]
+    unit = [math.ldexp(x, -e) for x in lam]
+    unit_lambda = math.sqrt(sum(y * y for y in unit))
+    try:
+        big_lambda = math.ldexp(unit_lambda, e)
+    except OverflowError:
+        raise NotFinite("Lambda = inf is not finite") from None
     if big_lambda == 0.0:
         raise ZeroVector("all coefficients vanish")
 
@@ -158,16 +165,16 @@ def diagonalize_l(spec: LSpec, tol: float = DEFAULT_TOL) -> DiagonalizationResul
         )
 
     axis = 1
-    used_fallback = big_lambda + lam[axis] <= 1e-4 * big_lambda
+    used_fallback = unit_lambda + unit[axis] <= 1e-4 * unit_lambda
     if not used_fallback:
-        u = _axis_conjugator(lam, big_lambda, gens, axis, dim)
+        u = _axis_conjugator(unit, unit_lambda, gens, axis, dim)
     else:
-        step = max(range(n), key=lambda j: lam[j])
-        u1 = _axis_conjugator(lam, big_lambda, gens, step, dim)
+        step = max(range(n), key=lambda j: unit[j])
+        u1 = _axis_conjugator(unit, unit_lambda, gens, step, dim)
         # L' = Lambda e_step has zero coefficient on the target axis
         lam2 = [0.0] * n
-        lam2[step] = big_lambda
-        u2 = _axis_conjugator(lam2, big_lambda, gens, axis, dim)
+        lam2[step] = unit_lambda
+        u2 = _axis_conjugator(lam2, unit_lambda, gens, axis, dim)
         u = u2 @ u1
 
     transformed = u @ l_matrix(spec) @ u.conj().T

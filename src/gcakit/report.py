@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Check", "VerificationReport"]
+__all__ = ["Check", "VerificationReport", "report_lines"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,8 +41,13 @@ class VerificationReport:
         }
 
     def __str__(self) -> str:
-        lines = [f"overall: {'pass' if self.overall else 'FAIL'}"]
-        for c in self.checks:
-            mark = "ok " if c.passed else "BAD"
-            lines.append(f"  [{mark}] {c.name}  {c.detail}".rstrip())
-        return "\n".join(lines)
+        return "\n".join(report_lines(self.overall, ((c.name, c.passed, c.detail) for c in self.checks)))
+
+
+def report_lines(overall: bool, checks) -> list[str]:
+    """A report as text: the verdict, then one line per (name, passed, detail)."""
+    lines = [f"overall: {'pass' if overall else 'FAIL'}"]
+    for name, passed, detail in checks:
+        mark = "ok " if passed else "BAD"
+        lines.append(f"  [{mark}] {name}  {detail}".rstrip())
+    return lines

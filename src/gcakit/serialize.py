@@ -70,30 +70,17 @@ def _key(k) -> str:
     return _encode_str(k)
 
 
-def _encode(obj, pad: str | None) -> str:
-    """One JSON value.  pad is None for compact output, else the indent of
-    the line obj starts on; members go one level ("  ") deeper."""
+def _encode(obj) -> str:
+    """One compact JSON value."""
     t = type(obj)
     if t is int:
         return int.__repr__(obj)
     if t is str:
         return _encode_str(obj)
     if t is dict:
-        if not obj:
-            return "{}"
-        if pad is None:
-            return "{" + ",".join([_key(k) + ":" + _encode(v, None) for k, v in obj.items()]) + "}"
-        inner = pad + "  "
-        items = [_key(k) + ": " + _encode(v, inner) for k, v in obj.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        return "{" + ",".join([_key(k) + ":" + _encode(v) for k, v in obj.items()]) + "}"
     if t is list or t is tuple:
-        if not obj:
-            return "[]"
-        if pad is None:
-            return "[" + ",".join([_encode(v, None) for v in obj]) + "]"
-        inner = pad + "  "
-        items = [_encode(v, inner) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        return "[" + ",".join([_encode(v) for v in obj]) + "]"
     if t is float:
         if not math.isfinite(obj):
             raise ValueError(f"cannot serialize non-finite value {obj}")
@@ -102,12 +89,12 @@ def _encode(obj, pad: str | None) -> str:
         return "null"
     if t is bool:
         return "true" if obj else "false"
-    return _encode(_native(obj), pad)
+    return _encode(_native(obj))
 
 
-def emit_json(obj, pretty: bool = False) -> str:
+def emit_json(obj) -> str:
     """Serialize with stable key order and %.17g floats; trailing newline."""
-    return _encode(obj, "" if pretty else None) + "\n"
+    return _encode(obj) + "\n"
 
 
 def matrix_to_doc(m) -> dict:

@@ -10,6 +10,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -56,7 +57,8 @@ def test_output_is_byte_identical_across_runs():
 def test_pretty_rendering():
     code, out, _ = call(["clifford", "2", "--pretty"])
     assert code == 0
-    assert "." in out and "-1" in out  # aligned grid with phase strings
+    # one line per column, "column -> row  phase", with phase strings
+    assert "gens[1]: monomial, dim 2\n  0 -> 0  1\n  1 -> 1  -1\n" in out
     assert "{" not in out.splitlines()[0]
 
 
@@ -139,7 +141,7 @@ def decode_dense(doc):
     [
         (["ldiag", "--lam", "nan,1"], "error: coefficients must be finite, got (nan+0j)\n"),
         (["ldiag", "--lam", "1,-inf"], "error: coefficients must be finite, got (-inf+0j)\n"),
-        (["ldiag", "--lam", "1e200,1e200"], "error: Lambda = inf is not finite\n"),
+        (["ldiag", "--lam", "1.7e308,1.7e308"], "error: Lambda = inf is not finite\n"),
         (["lmat", "--lam", "nan,1"], "error: coefficients must be finite, got (nan+0j)\n"),
         (["lmat", "--lam", "1e200,1e200"], "error: the sum of lam_j^2 overflows the float range\n"),
     ],
@@ -151,6 +153,16 @@ def test_non_finite_coefficients_exit_two_with_one_line(argv, message):
             code, out, err = call(argv + extra)
         assert (code, out, err) == (2, "", message)
         assert caught == []
+
+
+@pytest.mark.parametrize("x", [1e-160, 1e-200, 1e200])
+def test_ldiag_keeps_tiny_and_huge_coefficients(x):
+    # Lambda = sqrt(2) x, although x * x underflows or overflows
+    code, out, err = call(["ldiag", "--lam", f"{x},{x}"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert abs(doc["big_lambda"] - math.sqrt(2) * x) <= 1e-15 * math.sqrt(2) * x
+    assert all(abs(abs(e) - doc["big_lambda"]) <= 1e-12 * doc["big_lambda"] for e in doc["eig"])
 
 
 def test_ldiag_produces_unitary():
@@ -421,23 +433,23 @@ def _verify_doc(first) -> str:
                        "gens": [_dense_doc(first), matrix_to_doc(np.eye(2))]})
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["wigner", "inv", "[[NaN,0,0],[0,1,0],[0,0,1]]"],
-        ["wigner", "fwd", "[[NaN,0,0],[0,1,0],[0,0,1]]"],
-        ["decompose", "[[Infinity,0],[0,1]]"],
-        ["decompose", "[[1e308,1e308],[1e308,1e308]]"],
-        ["wigner", "fwd", json.dumps(np.full((3, 3), 1e308).tolist())],
-        ["decompose", "[[1" + "0" * 400 + ",0],[0,1]]"],
-        ["decompose", json.dumps(_dense_doc(10**400))],
-        ["decompose", json.dumps(_dense_doc(-10**400))],
-        ["verify", _verify_doc(float("nan"))],
-        ["verify", _verify_doc(float("nan")), "--pretty"],
-        ["verify", _verify_doc(float("inf"))],
-        ["verify", _verify_doc(-float("inf")), "--pretty"],
-    ],
-)
+NON_FINITE_ARGV = [
+    ["wigner", "inv", "[[NaN,0,0],[0,1,0],[0,0,1]]"],
+    ["wigner", "fwd", "[[NaN,0,0],[0,1,0],[0,0,1]]"],
+    ["decompose", "[[Infinity,0],[0,1]]"],
+    ["decompose", "[[1e308,1e308],[1e308,1e308]]"],
+    ["wigner", "fwd", json.dumps(np.full((3, 3), 1e308).tolist())],
+    ["decompose", "[[1" + "0" * 400 + ",0],[0,1]]"],
+    ["decompose", json.dumps(_dense_doc(10**400))],
+    ["decompose", json.dumps(_dense_doc(-10**400))],
+    ["verify", _verify_doc(float("nan"))],
+    ["verify", _verify_doc(float("nan")), "--pretty"],
+    ["verify", _verify_doc(float("inf"))],
+    ["verify", _verify_doc(-float("inf")), "--pretty"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGV)
 def test_non_finite_matrices_exit_two_with_one_line(argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -530,6 +542,53 @@ def test_readme_examples_print_the_recorded_bytes():
     assert [{"argv": c["argv"], "stdin": c["stdin"]} for c in golden] == _golden_cases()
     for case in golden:
         assert _run_case(case) == (case["code"], case["sha256"], ""), case["argv"]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    README_EXAMPLES + BUILDER_EXAMPLES
+    + [([a for a in argv if a != "--pretty"], None) for argv in NON_FINITE_ARGV],
+)
+def test_pretty_exits_like_the_document(argv, stdin):
+    plain = _run_case({"argv": argv, "stdin": stdin})
+    pretty = _run_case({"argv": argv + ["--pretty"], "stdin": stdin})
+    assert pretty[0] == plain[0]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    README_EXAMPLES + BUILDER_EXAMPLES + [
+        (["ldiag", "--lam", "0.3,-0.7,0.1"], None),
+        (["wigner", "fwd", "[[1,2,3],[4,5,6],[7,8,9]]"], None),
+        (["wigner", "inv", "[[1,0,0],[0,2,0],[0,0,3]]"], None),
+        (["catalog"], None),
+        (["catalog", "dirac"], None),
+    ],
+)
+def test_pretty_shows_every_field_under_its_key(argv, stdin, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    doc = json.loads(call(argv)[1])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    pretty = call(argv + ["--pretty"])[1]
+    starts = {line.split(" ")[0].split("[")[0].rstrip(":") for line in pretty.splitlines()}
+    assert set(doc) <= starts
+
+
+@pytest.mark.parametrize("doc", [{"x": float("nan")}, {"z": {"re": 1.0, "im": -float("inf")}}])
+def test_pretty_refuses_the_values_the_json_writer_refuses(doc):
+    from gcakit.cli import _lines
+
+    for write in (emit_json, lambda d: list(_lines(d))):
+        with pytest.raises(ValueError, match="cannot serialize non-finite value"):
+            write(doc)
+
+
+def test_pretty_monomial_text_grows_with_dim():
+    # dim 1,600: a dim x dim grid would print over 100 MB
+    code, out, err = call(["ordered", "4", "40", "--pretty"])
+    assert (code, err) == (0, "")
+    assert len(out.encode()) < 1_000_000
+    assert out.count(" -> ") == 4 * 1600
 
 
 def _record():

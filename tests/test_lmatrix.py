@@ -158,9 +158,9 @@ def test_lspec_rejects_non_finite_coefficients(bad):
 
 
 def test_diagonalize_rejects_an_overflowing_lambda():
-    # each coefficient is finite, but sum lam_j^2 leaves the float range
+    # each coefficient is finite, but Lambda = sqrt(sum lam_j^2) is past the float range
     with pytest.raises(NotFinite, match="Lambda = inf is not finite"):
-        diagonalize_l(LSpec((1e200, 1e200), clifford_generators(2)))
+        diagonalize_l(LSpec((1.7e308, 1.7e308), clifford_generators(2)))
 
 
 def test_diagonalize_fails_a_nan_deviation(monkeypatch):

@@ -38,9 +38,6 @@ def test_emit_is_valid_json_and_deterministic():
     assert one == two
     assert one.endswith("\n")
     assert json.loads(one) == obj
-    pretty = emit_json(obj, pretty=True)
-    assert json.loads(pretty) == obj
-    assert pretty != one
 
 
 def test_emit_preserves_insertion_order():
@@ -169,7 +166,7 @@ def test_monomial_phases_are_emitted_in_lowest_terms():
 # ---------------------------------------------------------------------------
 # the two-function emitter that the single-pass one replaced, kept as an oracle
 
-def _emit(obj, out: list, indent: str, level: int, pretty: bool) -> None:
+def _emit(obj, out: list) -> None:
     if obj is None or obj is True or obj is False:
         out.append("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, str):
@@ -183,51 +180,44 @@ def _emit(obj, out: list, indent: str, level: int, pretty: bool) -> None:
         text = format(x, ".17g")
         out.append(text)
     elif isinstance(obj, dict):
-        _emit_items(
-            obj.items(), out, indent, level, pretty, "{", "}", key=True
-        )
+        _emit_items(obj.items(), out, "{", "}", key=True)
     elif isinstance(obj, (list, tuple)):
-        _emit_items(obj, out, indent, level, pretty, "[", "]", key=False)
+        _emit_items(obj, out, "[", "]", key=False)
     else:
         raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _emit_items(items, out, indent, level, pretty, opener, closer, key) -> None:
+def _emit_items(items, out, opener, closer, key) -> None:
     items = list(items)
     if not items:
         out.append(opener + closer)
         return
     out.append(opener)
-    pad = indent * (level + 1)
     for i, item in enumerate(items):
-        if pretty:
-            out.append("\n" + pad)
         if key:
             k, v = item
             if not isinstance(k, str):
                 raise ValueError(f"object keys must be strings, got {k!r}")
             out.append(json.dumps(k, ensure_ascii=True))
-            out.append(": " if pretty else ":")
-            _emit(v, out, indent, level + 1, pretty)
+            out.append(":")
+            _emit(v, out)
         else:
-            _emit(item, out, indent, level + 1, pretty)
+            _emit(item, out)
         if i + 1 < len(items):
             out.append(",")
-    if pretty:
-        out.append("\n" + indent * level)
     out.append(closer)
 
 
-def oracle_emit_json(obj, pretty: bool = False) -> str:
+def oracle_emit_json(obj) -> str:
     out: list[str] = []
-    _emit(obj, out, "  ", 0, pretty)
+    _emit(obj, out)
     out.append("\n")
     return "".join(out)
 
 
-def _outcome(emit, obj, pretty):
+def _outcome(emit, obj):
     try:
-        return emit(obj, pretty)
+        return emit(obj)
     except ValueError as exc:
         return ("ValueError", str(exc))
 
@@ -279,14 +269,12 @@ def _trees(leaves, keys):
 @given(_trees(GOOD_LEAVES, st.text(max_size=6) | st.text(max_size=3).map(Text)))
 def test_emit_json_matches_the_two_function_oracle(tree):
     assert emit_json(tree) == oracle_emit_json(tree)
-    assert emit_json(tree, pretty=True) == oracle_emit_json(tree, pretty=True)
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(_trees(GOOD_LEAVES | BAD_LEAVES, st.text(max_size=3) | st.integers() | st.none() | st.tuples(st.integers())))
 def test_emit_json_fails_like_the_oracle(tree):
-    for pretty in (False, True):
-        assert _outcome(emit_json, tree, pretty) == _outcome(oracle_emit_json, tree, pretty)
+    assert _outcome(emit_json, tree) == _outcome(oracle_emit_json, tree)
 
 
 @pytest.mark.parametrize(
@@ -300,16 +288,11 @@ def test_emit_json_fails_like_the_oracle(tree):
     ],
 )
 def test_emit_error_messages(obj, message):
-    for pretty in (False, True):
-        with pytest.raises(ValueError) as info:
-            emit_json(obj, pretty=pretty)
-        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        emit_json(obj)
+    assert str(info.value) == message
 
 
-def test_emit_pretty_layout_and_empty_containers():
+def test_emit_empty_containers():
     obj = {"a": [], "b": {}, "c": (1, (2.0, "\u00e9")), "d": {"e": None}}
     assert emit_json(obj) == '{"a":[],"b":{},"c":[1,[2,"\\u00e9"]],"d":{"e":null}}\n'
-    assert emit_json(obj, pretty=True) == (
-        '{\n  "a": [],\n  "b": {},\n  "c": [\n    1,\n    [\n      2,\n      "\\u00e9"\n    ]\n  ],\n'
-        '  "d": {\n    "e": null\n  }\n}\n'
-    )
