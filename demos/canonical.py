@@ -1,9 +1,9 @@
 """Finite canonical transformations of a clock/shift pair.
 
 Integer exponents (k, l, m, n) with kn - lm = 1 (mod N) send the pair (A, B)
-to a new pair (A', B') obeying the same algebra.  When the transformation is
-nondegenerate a discrete-Gaussian intertwiner S implements it by conjugation,
-up to one global unit scalar per generator.
+to a new pair (A', B') obeying the same algebra.  A discrete-Gaussian
+intertwiner S implements every such transformation by conjugation, up to one
+global unit scalar per generator; when m = 0 it is monomial.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import numpy as np
 from gcakit import (
     CanonicalParams,
     Phase,
-    UnsupportedTransform,
     canonical_intertwiner,
     canonical_pair,
     clock,
@@ -52,11 +51,14 @@ def main():
     res_pq = canonical_intertwiner(pq)
     print(f"composed intertwiner residual: {residual(pq, res_pq):.2e}\n")
 
-    # degenerate second row (m = 0) has no closed-form table except the identity
-    try:
-        canonical_intertwiner(CanonicalParams(k=1, l=2, m=0, n=1, order=4))
-    except UnsupportedTransform as exc:
-        print(f"unsupported, reported rather than silently wrong: {exc}")
+    # a shear with m = 0: S is monomial, one root of unity per column
+    shear = CanonicalParams(k=1, l=2, m=0, n=1, order=4)
+    res = canonical_intertwiner(shear)
+    print("m = 0 shear (1, 2, 0, 1) at order 4, monomial intertwiner:")
+    for c in range(shear.order):
+        row = int(np.flatnonzero(res.s[:, c])[0])
+        print(f"column {c} -> row {row}  {Phase.from_complex(complex(res.s[row, c]))}")
+    print(f"shear intertwiner residual: {residual(shear, res):.2e}")
 
 
 if __name__ == "__main__":

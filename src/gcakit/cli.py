@@ -567,13 +567,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         doc, code = args.func(args)
         text = doc if isinstance(doc, str) else ("\n".join(_lines(doc)) + "\n" if args.pretty else emit_json(doc))
     except UnsupportedTransform as exc:
-        report = getattr(exc, "report", None)
-        body = (
-            f"unsupported transform: {exc}\n"
-            if report is None
-            else f"unsupported transform\n{report}\n"
-        )
-        stdout.write(body)
+        stdout.write(f"unsupported transform\n{exc.report}\n")
         return 1
     except (GcaError, ValueError, KeyError, TypeError, OSError, ZeroDivisionError) as exc:
         msg = str(exc).splitlines()[0] if str(exc) else type(exc).__name__

@@ -81,7 +81,11 @@ class BadDeterminant(GcaError):
 
 
 class UnsupportedTransform(GcaError):
-    """No intertwiner of the implemented form verifies for these parameters."""
+    """The intertwiner built for these parameters failed its report (.report)."""
+
+    def __init__(self, report):
+        super().__init__(f"table does not intertwine the pair\n{report}")
+        self.report = report
 
 
 class IrrationalFlux(GcaError):

@@ -58,11 +58,15 @@ class LSpec:
             )
 
 
-def l_matrix(spec: LSpec) -> np.ndarray:
-    out = np.zeros((spec.rep.dim, spec.rep.dim), dtype=complex)
-    for lj, ej in zip(spec.lam, spec.rep.gens):
-        out += lj * ej.to_dense()
+def _combination(coeffs, gens, dim: int) -> np.ndarray:
+    out = np.zeros((dim, dim), dtype=complex)
+    for cj, ej in zip(coeffs, gens):
+        out += cj * ej.to_dense()
     return out
+
+
+def l_matrix(spec: LSpec) -> np.ndarray:
+    return _combination(spec.lam, spec.rep.gens, spec.rep.dim)
 
 
 def family_order(rep: Representation) -> int | None:
@@ -115,9 +119,7 @@ class DiagonalizationResult:
 
 def _axis_conjugator(lam, big_lambda, gens, axis, dim):
     # (L + Lambda e_axis) / sqrt(2 Lambda (Lambda + lam_axis)); hermitian involution
-    m = np.zeros((dim, dim), dtype=complex)
-    for lj, ej in zip(lam, gens):
-        m += lj * ej.to_dense()
+    m = _combination(lam, gens, dim)
     m += big_lambda * gens[axis].to_dense()
     return m / math.sqrt(2.0 * big_lambda * (big_lambda + lam[axis]))
 
@@ -139,9 +141,9 @@ def diagonalize_l(spec: LSpec, tol: float = DEFAULT_TOL) -> DiagonalizationResul
         if abs(x.imag) > 0:
             raise NotReal(f"coefficients must be real, got {x}")
         lam.append(x.real)
-    # u does not change when lam is scaled, so Lambda's squares and u's
-    # normalizer are taken on lam scaled by a power of two (exact), which
-    # neither underflows nor overflows
+    # u does not change when lam is scaled, so Lambda, u and the conjugated
+    # L are taken on lam scaled by a power of two (exact), which neither
+    # underflows nor overflows; Lambda and the eigenvalues are scaled back
     e = math.frexp(max(abs(x) for x in lam))[1]
     unit = [math.ldexp(x, -e) for x in lam]
     unit_lambda = math.sqrt(sum(y * y for y in unit))
@@ -177,15 +179,18 @@ def diagonalize_l(spec: LSpec, tol: float = DEFAULT_TOL) -> DiagonalizationResul
         u2 = _axis_conjugator(lam2, unit_lambda, gens, axis, dim)
         u = u2 @ u1
 
-    transformed = u @ l_matrix(spec) @ u.conj().T
-    target = big_lambda * gens[axis].to_dense()
-    dev = max_abs_diff(transformed, target)
-    # written so that a NaN deviation fails
-    if not dev <= max(tol, 1e-9 * big_lambda):
+    transformed = u @ _combination(unit, gens, dim) @ u.conj().T
+    dev = max_abs_diff(transformed, unit_lambda * gens[axis].to_dense())
+    # on the scaled L; written so that a NaN deviation fails
+    if not dev <= max(tol, 1e-9 * unit_lambda):
         raise GcaError(f"conjugation check failed, deviation {dev:.3e}")
+    try:
+        eig = np.array([math.ldexp(x, e) for x in np.real(np.diag(transformed)).tolist()])
+    except OverflowError:
+        raise NotFinite("an eigenvalue of L is not finite") from None
     return DiagonalizationResult(
         u=u,
-        eig=np.real(np.diag(transformed)),
+        eig=eig,
         axis=axis,
         used_fallback=used_fallback,
         big_lambda=big_lambda,
@@ -207,8 +212,14 @@ def nth_power_check(spec: LSpec, tol: float = DEFAULT_TOL) -> NthPowerReport:
         raise BadOrder("power law check is defined on the standard families only")
     try:
         scalar = sum(x**order for x in spec.lam)
+        size = abs(scalar)
     except OverflowError:
-        raise NotFinite(f"the sum of lam_j^{order} overflows the float range") from None
-    power = np.linalg.matrix_power(l_matrix(spec), order)
-    dev = max_abs_diff(power, scalar * np.eye(spec.rep.dim)) / (1.0 + abs(scalar))
+        size = math.inf
+    if not math.isfinite(size):
+        raise NotFinite(f"the sum of lam_j^{order} overflows the float range")
+    with np.errstate(all="ignore"):
+        power = np.linalg.matrix_power(l_matrix(spec), order)
+        dev = max_abs_diff(power, scalar * np.eye(spec.rep.dim)) / (1.0 + size)
+    if not math.isfinite(dev):
+        raise NotFinite(f"L^{order} overflows the float range")
     return NthPowerReport(order=order, scalar=scalar, deviation=dev, passed=dev <= tol)

@@ -216,15 +216,12 @@ class MonomialMatrix:
         d = len(phases)
         return MonomialMatrix(d, tuple(range(d)), tuple(phases))
 
-    def _exp_over(self, den: int) -> np.ndarray:
-        return self._exp if den == self.den else self._exp * (den // self.den)
-
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         if not isinstance(other, MonomialMatrix):
             return NotImplemented
         if self.dim != other.dim:
             raise DimensionMismatch(f"dims {self.dim} != {other.dim}")
-        ea, eb, den = _common(self, other)
+        (ea, eb), den = _aligned_exponents((self, other))
         cols = other._target
         return MonomialMatrix._new(self._target[cols], (ea[cols] + eb) % den, den)
 
@@ -255,16 +252,14 @@ class MonomialMatrix:
 
     def tensor(self, other: "MonomialMatrix") -> "MonomialMatrix":
         """Kronecker product; the left factor is the slow (row-major) index."""
-        ea, eb, den = _common(self, other)
+        (ea, eb), den = _aligned_exponents((self, other))
         tgt = self._target[:, None] * other.dim + other._target[None, :]
         exp = (ea[:, None] + eb[None, :]) % den
         return MonomialMatrix._new(tgt.ravel(), exp.ravel(), den)
 
     def scale(self, z: Phase) -> "MonomialMatrix":
-        m = self if lcm(self.den, z.den) <= MAX_DEN else self._reduced()
-        den = _check_den(lcm(m.den, z.den))
-        exp = (m._exp_over(den) + z.num * (den // z.den)) % den
-        return MonomialMatrix._new(self._target, exp, den)
+        (exp,), den = _aligned_exponents((self,), z.den)
+        return MonomialMatrix._new(self._target, (exp + z.num * (den // z.den)) % den, den)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -293,17 +288,24 @@ class MonomialMatrix:
         return not self._exp.any() and np.array_equal(self._target, np.arange(self.dim))
 
 
-def _common(a: MonomialMatrix, b: MonomialMatrix) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exponents of a and b over one denominator, with that denominator.
+def _aligned_exponents(mats, den: int = 1) -> tuple[list[np.ndarray], int]:
+    """Exponents of mats over one denominator, the lcm of theirs and den, with it.
 
-    Past MAX_DEN both are first brought to their smallest denominators; only
-    when the lcm of those is still too large is DenominatorOverflow raised.
+    Past MAX_DEN the matrices are first brought to their smallest
+    denominators; only when the lcm is still too large is
+    DenominatorOverflow raised.  Every product and scale runs this, so it
+    loops instead of building comprehensions.
     """
-    den = lcm(a.den, b.den)
+    extra = den
+    for m in mats:
+        den = lcm(den, m.den)
     if den > MAX_DEN:
-        a, b = a._reduced(), b._reduced()
-        den = _check_den(lcm(a.den, b.den))
-    return a._exp_over(den), b._exp_over(den), den
+        mats = [m._reduced() for m in mats]
+        den = _check_den(lcm(extra, *[m.den for m in mats]))
+    exps = []
+    for m in mats:
+        exps.append(m._exp if m.den == den else m._exp * (den // m.den))
+    return exps, den
 
 
 def to_dense(x) -> np.ndarray:

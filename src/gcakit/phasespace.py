@@ -271,6 +271,17 @@ def _fit_scalar(lhs: np.ndarray, rhs: np.ndarray):
     return z, float(max_abs_diff(lhs, z * rhs))
 
 
+def _gauss_terms(p: CanonicalParams, q: int, x: int, y: int) -> list[Phase]:
+    """The roots of unity that _gauss_table sums into its entry (x, y)."""
+    order = p.order
+    j = (q - y) % order
+    return [
+        Phase(-p.k * p.l * j * j - p.m * p.n * k * k - 2 * p.l * p.m * j * k - 2 * k * q, 2 * order)
+        for k in range(order)
+        if (p.k * j + p.m * k + x) % order == 0
+    ]
+
+
 def _gauss_table(p: CanonicalParams, q: int) -> np.ndarray:
     """Entries of sum_(j,k) (A'^j B'^k) E_(0,q) (A^j B^k)^dag, summed exactly.
 
@@ -279,52 +290,37 @@ def _gauss_table(p: CanonicalParams, q: int) -> np.ndarray:
     leaves, per entry, a Gauss sum over the k' solving k j + m k' = -x
     mod N.  Every term is a root of unity with an integer exponent over 2N,
     so the sum is evaluated with exact coset cancellation.
+
+    The average commutes with the transformed pair on the left and the
+    original pair on the right, so by Schur's lemma it is N conj(U[0, q]) U
+    for the unitary intertwiner U: nonzero exactly when U[0, q] is.
     """
     order = p.order
     s = np.zeros((order, order), dtype=complex)
     for y in range(order):
-        j = (q - y) % order
         for x in range(order):
-            terms = [
-                Phase(
-                    -p.k * p.l * j * j - p.m * p.n * k * k - 2 * p.l * p.m * j * k - 2 * k * q,
-                    2 * order,
-                )
-                for k in range(order)
-                if (p.k * j + p.m * k + x) % order == 0
-            ]
-            s[x, y] = phase_sum(terms)
+            s[x, y] = phase_sum(_gauss_terms(p, q, x, y))
     return s
 
 
 def canonical_intertwiner(p: CanonicalParams, tol: float = DEFAULT_TOL) -> CanonicalResult:
     """Matrix S with A'S = zeta_a S A and B'S = zeta_b S B.
 
-    For m != 0 the table is the exact Gauss-sum kernel of the group average
-    over all words, which intertwines the pairs with zeta_a = zeta_b = 1;
-    when m is coprime to N it degenerates to one phase per entry, e.g. the
-    order-2 swap gives [[1, 1], [1, -1]].  The average against one matrix
-    unit can vanish, so the unit column q is scanned until the table is
-    invertible.  For m = 0 only the identity transform has a table here.
+    S is the exact Gauss-sum table of the group average over all words
+    (_gauss_table), which intertwines the pairs with zeta_a = zeta_b = 1.
+    By Schur's lemma the table at column q is N conj(U[0, q]) U, so its
+    corner c_q = table[0, q] = N |U[0, q]|^2 is real and nonnegative, and
+    some c_q is at least 1.  S is the table at the first q with the largest
+    corner, divided by that corner: S = U / U[0, q], with S[0, q] = 1.
+    When m is a unit mod N every corner is 1, q = 0, and S has one root of
+    unity per entry (the order-2 swap gives [[1, 1], [1, -1]]); when m = 0
+    S is monomial, a dilation times a diagonal chirp.
     """
     order = p.order
     ap, bp = canonical_pair(p)
-    if p.m == 0:
-        if (p.k, p.l, p.n) != (1, 0, 1):
-            raise UnsupportedTransform(
-                "no closed-form table when m = 0, except for the identity"
-            )
-        s = np.eye(order, dtype=complex)
-    else:
-        s = None
-        for q in range(order):
-            cand = _gauss_table(p, q)
-            top = float(np.max(np.abs(cand)))
-            if top > 0.5 and np.linalg.svd(cand, compute_uv=False)[-1] > 1e-8 * top:
-                s = cand
-                break
-        if s is None:
-            s = cand  # leave the failure for the report below
+    corners = [phase_sum(_gauss_terms(p, q, 0, q)) for q in range(order)]
+    q = int(np.argmax(np.abs(corners)))
+    s = _gauss_table(p, q) / corners[q]
 
     a = shift(order).to_dense()
     b = clock(order).to_dense()
@@ -338,9 +334,7 @@ def canonical_intertwiner(p: CanonicalParams, tol: float = DEFAULT_TOL) -> Canon
     )
     report = VerificationReport(checks)
     if not report.overall:
-        exc = UnsupportedTransform(f"table does not intertwine the pair\n{report}")
-        exc.report = report
-        raise exc
+        raise UnsupportedTransform(report)
     return CanonicalResult(s=s, zeta_a=complex(zeta_a), zeta_b=complex(zeta_b), report=report)
 
 

@@ -39,8 +39,8 @@ from .errors import (
 )
 from .matrices import (
     DEFAULT_TOL,
-    MAX_DEN,
     MonomialMatrix,
+    _aligned_exponents,
     _check_den,
     _phase_exponents,
     max_abs_diff,
@@ -246,12 +246,9 @@ def _commutation_checks(gens, t: TMatrix) -> list[Check]:
     for g in gens:
         if g.dim != dim:
             raise DimensionMismatch(f"dims {dim} != {g.dim}")
-    den = lcm(nhat, *(g.den for g in gens))
-    if den > MAX_DEN:
-        gens = [g._reduced() for g in gens]
-        den = _check_den(lcm(nhat, *(g.den for g in gens)))
+    exps, den = _aligned_exponents(gens, nhat)
     tgt = np.stack([g._target for g in gens])
-    exp = np.stack([g._exp_over(den) for g in gens])
+    exp = np.stack(exps)
     rows_j, rows_k = np.triu_indices(n, 1)
     step = max(1, _BLOCK_ENTRIES // dim)
     checks = []

@@ -21,7 +21,6 @@ from gcakit import (
     MonomialMatrix,
     Phase,
     SkewNormalForm,
-    UnsupportedTransform,
     WignerTable,
     bloch_phase,
     build_representation,
@@ -360,13 +359,8 @@ def test_criterion_09_canonical_transformations(capsys):
                 # transformed pair satisfies the original algebra exactly
                 assert (ap**order).is_identity() and (bp**order).is_identity()
                 assert ap @ bp == (bp @ ap).scale(omega)
-                try:
-                    res = canonical_intertwiner(p)
-                except UnsupportedTransform:
-                    # reported, never silently wrong; only the degenerate
-                    # second-exponent-zero family may lack a closed form
-                    assert m == 0
-                    continue
+                # every tuple, m = 0 included, is intertwined
+                res = canonical_intertwiner(p)
                 assert abs(abs(res.zeta_a) - 1) < 1e-12
                 assert abs(abs(res.zeta_b) - 1) < 1e-12
                 ra = max_abs_diff(res.s @ a, res.zeta_a * (to_dense(ap) @ res.s))

@@ -25,6 +25,7 @@ from gcakit.cli import run
 from gcakit.serialize import emit_json, factor_set_to_doc, flux_to_doc, matrix_to_doc
 from gcakit.repbuilder import clifford_generators
 from gcakit.matrices import to_dense
+from gcakit.report import Check, VerificationReport
 
 
 def call(argv, env=None, monkeypatch=None):
@@ -165,6 +166,14 @@ def test_ldiag_keeps_tiny_and_huge_coefficients(x):
     assert all(abs(abs(e) - doc["big_lambda"]) <= 1e-12 * doc["big_lambda"] for e in doc["eig"])
 
 
+def test_ldiag_subnormal_eigenvalues_are_plus_minus_lambda():
+    code, out, err = call(["ldiag", "--lam", "5e-324,0"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["big_lambda"] == 5e-324
+    assert doc["eig"] == [5e-324, -5e-324]
+
+
 def test_ldiag_produces_unitary():
     code, out, _ = call(["ldiag", "--lam", "1,0,0"])
     assert code == 0
@@ -207,10 +216,19 @@ def test_canonical_swap():
     assert doc["a_prime"]["kind"] == "monomial"
 
 
-def test_canonical_unsupported_is_exit_one():
+def test_canonical_unsupported_is_exit_one(monkeypatch):
+    # m = 0 is intertwined too, so the exit-1 path needs a failing report
+    code, out, err = call(["canonical", "3", "0", "0", "3", "--order", "4"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["verify"]["overall"] is True
+
+    def failing(p, tol):
+        raise gcakit.UnsupportedTransform(VerificationReport((Check("relation A", False, "residual 1"),)))
+
+    monkeypatch.setattr("gcakit.cli.canonical_intertwiner", failing)
     code, out, err = call(["canonical", "3", "0", "0", "3", "--order", "4"])
     assert code == 1
-    assert "unsupported transform" in out
+    assert out.startswith("unsupported transform\n") and "relation A" in out
     assert err == ""
 
 
@@ -446,6 +464,8 @@ NON_FINITE_ARGV = [
     ["verify", _verify_doc(float("nan")), "--pretty"],
     ["verify", _verify_doc(float("inf"))],
     ["verify", _verify_doc(-float("inf")), "--pretty"],
+    ["lmat", "--lam", "1e154,1e154"],
+    ["lmat", "--lam", "1e154,1e154", "--pretty"],
 ]
 
 

@@ -161,6 +161,10 @@ def test_diagonalize_rejects_an_overflowing_lambda():
     # each coefficient is finite, but Lambda = sqrt(sum lam_j^2) is past the float range
     with pytest.raises(NotFinite, match="Lambda = inf is not finite"):
         diagonalize_l(LSpec((1.7e308, 1.7e308), clifford_generators(2)))
+    # Lambda is finite, but the conjugated diagonal rounds one ulp past it
+    lam = (5.487171886756104e307, 5.3022948936270797e306, 1.0199172700654137e308, -1.3738876894023941e308)
+    with pytest.raises(NotFinite, match="an eigenvalue of L is not finite"):
+        diagonalize_l(LSpec(lam, clifford_generators(4)))
 
 
 def test_diagonalize_fails_a_nan_deviation(monkeypatch):

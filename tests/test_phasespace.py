@@ -2,6 +2,7 @@
 changes of the clock/shift pair, and magnetic translations."""
 
 import itertools
+import math
 import warnings
 from fractions import Fraction
 
@@ -26,7 +27,6 @@ from gcakit import (
     ONE,
     Phase,
     SchwingerCoeffs,
-    UnsupportedTransform,
     WignerTable,
     bloch_phase,
     canonical_intertwiner,
@@ -45,6 +45,7 @@ from gcakit import (
     wigner_forward,
     wigner_inverse,
 )
+from gcakit.phasespace import _gauss_table
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +359,7 @@ def test_transformed_pair_keeps_the_algebra():
 def valid_tuples(order):
     out = []
     for k, l, m, n in itertools.product(range(order), repeat=4):
-        if (k * n - l * m) % order == 1 and m != 0:
+        if (k * n - l * m) % order == 1:
             out.append(CanonicalParams(k=k, l=l, m=m, n=n, order=order))
     return out
 
@@ -401,8 +402,45 @@ def test_every_valid_tuple_is_supported_at_order_four():
 def test_scalar_only_transform_needs_identity_triple():
     res = canonical_intertwiner(CanonicalParams(k=1, l=0, m=0, n=1, order=2))
     assert np.array_equal(res.s, np.eye(2))
-    with pytest.raises(UnsupportedTransform):
-        canonical_intertwiner(CanonicalParams(k=3, l=0, m=0, n=3, order=4))
+    # m = 0 beyond the identity: a dilation, one unit entry per column
+    s = canonical_intertwiner(CanonicalParams(k=3, l=0, m=0, n=3, order=4)).s
+    assert np.count_nonzero(s, axis=0).tolist() == [1] * 4
+    assert np.allclose(np.abs(s.sum(axis=0)), 1, rtol=0, atol=1e-12)
+
+
+def q_scan_oracle(p):
+    """The table the intertwiner took before the corner rule: the identity
+    at m = 0, else the first unit column q whose Gauss table is invertible,
+    found by one SVD per q."""
+    if p.m == 0:
+        return np.eye(p.order, dtype=complex)
+    for q in range(p.order):
+        cand = _gauss_table(p, q)
+        top = float(np.max(np.abs(cand)))
+        if top > 0.5 and np.linalg.svd(cand, compute_uv=False)[-1] > 1e-8 * top:
+            return cand
+    raise AssertionError(f"no invertible table for {p}")
+
+
+def test_every_tuple_up_to_order_twelve_is_intertwined():
+    """Every determinant-1 tuple at even N <= 12, m = 0 included.  S is a
+    multiple of a unitary normalized to S[0, q] = 1; m = 0 gives a monomial
+    S; for m a unit and for the identity S is the q-scan's table, bit for bit."""
+    for order in (2, 4, 6, 8, 10, 12):
+        eye = np.eye(order)
+        for p in valid_tuples(order):
+            res = canonical_intertwiner(p)
+            s = res.s
+            assert res.report.overall, (p, str(res.report))
+            assert intertwining_residuals(p, res) < 1e-9
+            assert abs(res.zeta_a - 1) < 1e-12 and abs(res.zeta_b - 1) < 1e-12
+            assert np.min(np.abs(s[0] - 1)) < 1e-12
+            gram = s.conj().T @ s
+            assert max_abs_diff(gram, gram[0, 0] * eye) < 1e-9 * abs(gram[0, 0])
+            if p.m == 0:
+                assert np.count_nonzero(s, axis=0).tolist() == [1] * order, p
+            if math.gcd(p.m, order) == 1 or (p.k, p.l, p.m, p.n) == (1, 0, 0, 1):
+                assert np.array_equal(s, q_scan_oracle(p)), p
 
 
 def test_composition_parameters_multiply():
@@ -443,8 +481,6 @@ def test_composed_intertwiners_match_up_to_sign_words():
             p1 = tuples[rng.integers(len(tuples))]
             p2 = tuples[rng.integers(len(tuples))]
             p3 = compose_params(p1, p2)
-            if p3.m == 0:
-                continue
             t = canonical_intertwiner(p1).s @ canonical_intertwiner(p2).s
             s3 = canonical_intertwiner(p3).s
             ap, bp = (to_dense(x) for x in canonical_pair(p3))
