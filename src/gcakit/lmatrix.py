@@ -72,13 +72,8 @@ def l_matrix(spec: LSpec) -> np.ndarray:
 def family_order(rep: Representation) -> int | None:
     """N when rep is the standard family (every t_jk = 1, every order = nhat)."""
     t = rep.spec.t
-    for j in range(t.n):
-        for k in range(j + 1, t.n):
-            if t.t[j][k] != 1:
-                return None
-    if any(nj != t.nhat for nj in rep.spec.orders):
-        return None
-    return t.nhat
+    uniform = all(t.t[j][k] == 1 for j in range(t.n) for k in range(j + 1, t.n))
+    return t.nhat if uniform and all(nj == t.nhat for nj in rep.spec.orders) else None
 
 
 def family_rep(n: int, order: int) -> Representation:

@@ -43,6 +43,11 @@ def _check_den(den: int) -> int:
     return den
 
 
+def _is_integer(x) -> bool:
+    """An int or a numpy integer, and not a bool: the rule for integer arguments."""
+    return not isinstance(x, bool) and isinstance(x, (int, np.integer))
+
+
 def _int_vector(values, what: str) -> np.ndarray:
     """A fresh int64 copy of values; bools, floats and other non-integers are rejected."""
     arr = np.array(values)
@@ -53,7 +58,7 @@ def _int_vector(values, what: str) -> np.ndarray:
 
 def _validated(target, exp, den) -> tuple[np.ndarray, np.ndarray, int]:
     """Integer arrays (target, exp mod den) and den, checked for a monomial matrix."""
-    if isinstance(den, bool) or not isinstance(den, (int, np.integer)):
+    if not _is_integer(den):
         raise ValueError(f"denominator must be an integer, got {den!r}")
     if den < 1:
         raise ValueError(f"denominator must be >= 1, got {den}")
@@ -67,10 +72,12 @@ def _validated(target, exp, den) -> tuple[np.ndarray, np.ndarray, int]:
     return target, exp, den
 
 
-def _phase_exponents(phases) -> tuple[np.ndarray, int]:
-    """Exponents of a sequence of Phases over their common denominator."""
-    den = _check_den(lcm(*{p.den for p in phases}))
-    exp = np.array([p.num * (den // p.den) for p in phases], dtype=np.int64)
+def _fraction_exponents(nums, dens) -> tuple[np.ndarray, int]:
+    """Exponents of e^(2*pi*i*nums[c]/dens[c]) over the lcm den of the reduced
+    denominators, for integers of any size and nonzero dens; dens[c] divides
+    nums[c] * den, so each exponent is one exact floor division."""
+    den = _check_den(lcm(*{abs(b) // gcd(a, b) for a, b in zip(nums, dens)}))
+    exp = np.array([a * den // b % den for a, b in zip(nums, dens)], dtype=np.int64)
     return exp, den
 
 
@@ -140,7 +147,8 @@ class MonomialMatrix:
             raise DimensionMismatch("target/phase length must equal dim")
         if not all(isinstance(p, Phase) for p in phase):
             raise ValueError("phase entries must be Phase values")
-        self._init(*_validated(target, *_phase_exponents(phase)))
+        exp, den = _fraction_exponents([p.num for p in phase], [p.den for p in phase])
+        self._init(*_validated(target, exp, den))
 
     def _init(self, target: np.ndarray, exp: np.ndarray, den: int) -> None:
         setattr_ = object.__setattr__

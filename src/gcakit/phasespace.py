@@ -27,7 +27,7 @@ from .errors import (
     NotReal,
     UnsupportedTransform,
 )
-from .matrices import DEFAULT_TOL, MonomialMatrix, max_abs_diff, phase_sum, to_dense
+from .matrices import DEFAULT_TOL, MonomialMatrix, _is_integer, max_abs_diff, phase_sum, to_dense
 from .phase import Phase
 from .repbuilder import GcaSpec, Representation, build_representation
 from .report import Check, VerificationReport
@@ -224,10 +224,15 @@ class CanonicalParams:
     order: int
 
     def __post_init__(self):
+        if not _is_integer(self.order):
+            raise BadOrder(f"order must be an integer, got {self.order!r}")
         if self.order < 2 or self.order % 2 != 0:
             raise BadOrder(f"order must be even and >= 2, got {self.order}")
         for name in ("k", "l", "m", "n"):
-            object.__setattr__(self, name, getattr(self, name) % self.order)
+            x = getattr(self, name)
+            if not _is_integer(x):
+                raise ValueError(f"{name} must be an integer, got {x!r}")
+            object.__setattr__(self, name, x % self.order)
         det = (self.k * self.n - self.l * self.m) % self.order
         if det != 1:
             raise BadDeterminant(f"k n - l m = {det} mod {self.order}, need 1")
@@ -342,13 +347,11 @@ def canonical_intertwiner(p: CanonicalParams, tol: float = DEFAULT_TOL) -> Canon
 # magnetic translations for rational flux
 
 def _as_flux(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, (Fraction, str)):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (tuple, list)) and len(x) == 2:
+    if _is_integer(x):
+        return Fraction(int(x))
+    if isinstance(x, (tuple, list)) and len(x) == 2 and all(map(_is_integer, x)):
         return Fraction(int(x[0]), int(x[1]))
     raise IrrationalFlux(
         f"flux must be an exact rational (Fraction, int, 'p/q', or (p, q)), got {x!r}"

@@ -41,8 +41,8 @@ from .matrices import (
     DEFAULT_TOL,
     MonomialMatrix,
     _aligned_exponents,
-    _check_den,
-    _phase_exponents,
+    _fraction_exponents,
+    _is_integer,
     max_abs_diff,
     to_dense,
 )
@@ -80,7 +80,7 @@ def _generator_orders(orders) -> tuple[int, ...]:
     """
     out = []
     for nj in orders:
-        if isinstance(nj, bool) or not isinstance(nj, (int, np.integer)):
+        if not _is_integer(nj):
             raise BadOrder(f"generator order must be an integer, got {nj!r}")
         if nj < 1:
             raise BadOrder(f"generator order must be >= 1, got {nj}")
@@ -354,6 +354,29 @@ def ordered_gca_generators(n: int, n_order: int) -> Representation:
 # ---------------------------------------------------------------------------
 # projective representations of finite abelian groups
 
+def _exact_exponent(x) -> Fraction:
+    if isinstance(x, (bool, float, np.floating)):  # Fraction(0.1) is over 2**55
+        raise ValueError(f"bilinear exponents must be exact rationals (int, Fraction or 'p/q'), got {x!r}")
+    return Fraction(x)
+
+
+def _table_exponents(orders, table: dict) -> tuple[tuple[int, ...], np.ndarray, int]:
+    """Orders, exp and den of a table mapping each (g, h) to integers (num, den)."""
+    orders = _generator_orders(orders)
+    # checked before the |G| elements are listed, so a short table cannot
+    # ask for a huge enumeration, and an extra key cannot pass silently
+    need = prod(orders) ** 2
+    if len(table) != need:
+        raise InvalidFactorSet(f"table has {len(table)} entries, need {need}")
+    elems = list(itertools.product(*(range(nj) for nj in orders)))
+    pairs = list(itertools.product(elems, repeat=2))
+    missing = [gh for gh in pairs if gh not in table]
+    if missing:
+        raise InvalidFactorSet(f"missing table entry for {missing[0]}")
+    exp, den = _fraction_exponents(*zip(*map(table.get, pairs)))
+    return orders, exp.reshape(len(elems), len(elems)), den
+
+
 class FactorSet:
     """Multiplier table phi(g, h) on Z_{N_1} x ... x Z_{N_n}.
 
@@ -368,22 +391,7 @@ class FactorSet:
     """
 
     def __init__(self, orders, table):
-        orders = _generator_orders(orders)
-        table = dict(table)
-        # checked before the |G| elements are listed, so a short table cannot
-        # ask for a huge enumeration, and an extra key cannot pass silently
-        need = prod(orders) ** 2
-        if len(table) != need:
-            raise InvalidFactorSet(f"table has {len(table)} entries, need {need}")
-        elems = list(itertools.product(*(range(nj) for nj in orders)))
-        phases = []
-        for g in elems:
-            for h in elems:
-                if (g, h) not in table:
-                    raise InvalidFactorSet(f"missing table entry for {(g, h)}")
-                phases.append(table[(g, h)])
-        exp, den = _phase_exponents(phases)
-        self._init(orders, exp.reshape(len(elems), len(elems)), den)
+        self._init(*_table_exponents(orders, {gh: (p.num, p.den) for gh, p in dict(table).items()}))
 
     def _init(self, orders: tuple[int, ...], exp: np.ndarray, den: int) -> None:
         self.orders = orders
@@ -460,12 +468,10 @@ class FactorSet:
         """phi(g, h) = e^(2*pi*i * sum_jk exps[j][k] g_j h_k), exps rational."""
         orders = _generator_orders(orders)
         n = len(orders)
-        fr = [[Fraction(exps[j][k]) for k in range(n)] for j in range(n)]
-        den = _check_den(lcm(*(f.denominator for row in fr for f in row)))
+        fr = [_exact_exponent(exps[j][k]) for j in range(n) for k in range(n)]
+        exp, den = _fraction_exponents([f.numerator for f in fr], [f.denominator for f in fr])
         # Python ints throughout: den may be up to 2**62, so the sums can pass int64
-        a = np.array(
-            [[f.numerator * (den // f.denominator) % den for f in row] for row in fr], dtype=object
-        ).reshape(n, n)
+        a = exp.astype(object).reshape(n, n)
         coords = np.array(list(itertools.product(*(range(nj) for nj in orders))), dtype=object)
         coords = coords.reshape(-1, n)
         exp = ((coords @ a) % den) @ coords.T % den

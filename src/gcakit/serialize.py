@@ -17,6 +17,8 @@ Multiplier tables and flux triples:
 
     {"f12": [p, q], "f13": [p, q], "f23": [p, q]}
 
+Monomial phases and table rows go straight to and from the int64 exponent
+arrays that MonomialMatrix and FactorSet store, with no Phase per entry.
 Parsers raise ValueError on malformed documents, and NotFinite on a dense
 entry that is NaN, infinite or an integer past the float range.
 """
@@ -29,10 +31,9 @@ import math
 import numpy as np
 
 from .errors import NotFinite
-from .matrices import MonomialMatrix
-from .phase import Phase
+from .matrices import MonomialMatrix, _fraction_exponents
 from .phasespace import MagneticLattice
-from .repbuilder import FactorSet
+from .repbuilder import FactorSet, _table_exponents
 
 __all__ = [
     "emit_json",
@@ -112,9 +113,7 @@ def matrix_to_doc(m) -> dict:
         "kind": "dense",
         "dim_rows": arr.shape[0],
         "dim_cols": arr.shape[1],
-        "entries": [
-            {"re": float(z.real), "im": float(z.imag)} for z in arr.ravel()
-        ],
+        "entries": [{"re": float(z.real), "im": float(z.imag)} for z in arr.ravel()],
     }
 
 
@@ -130,12 +129,12 @@ def _as_int(x, what: str) -> int:
     return x
 
 
-def _parse_phase(d, what: str) -> Phase:
-    num = _as_int(_need(d, "num"), f"{what}.num")
-    den = _as_int(_need(d, "den"), f"{what}.den")
+def _fraction(d, what: str) -> tuple[int, int]:
+    num = _as_int(_need(d, "num"), what + ".num")
+    den = _as_int(_need(d, "den"), what + ".den")
     if den == 0:
         raise ValueError(f"{what}.den must be nonzero")
-    return Phase(num, den)
+    return num, den
 
 
 def doc_to_matrix(doc: dict):
@@ -146,14 +145,15 @@ def doc_to_matrix(doc: dict):
         dim = _as_int(_need(doc, "dim"), "dim")
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        target = _need(doc, "target")
-        phase = _need(doc, "phase")
+        target, phase = _need(doc, "target"), _need(doc, "phase")
         if not isinstance(target, list) or not isinstance(phase, list):
             raise ValueError("target and phase must be lists")
-        tgt = tuple(_as_int(x, "target entry") for x in target)
-        ph = tuple(_parse_phase(p, "phase entry") for p in phase)
+        tgt = [_as_int(x, "target entry") for x in target]
+        fracs = [_fraction(p, "phase entry") for p in phase]
+        if len(tgt) != dim or len(fracs) != dim:
+            raise ValueError("bad monomial document: target/phase length must equal dim")
         try:
-            return MonomialMatrix(dim, tgt, ph)
+            return MonomialMatrix.from_exponents(tgt, *_fraction_exponents(*zip(*fracs)))
         except Exception as exc:
             raise ValueError(f"bad monomial document: {exc}") from exc
     if kind == "dense":
@@ -166,8 +166,7 @@ def doc_to_matrix(doc: dict):
             raise ValueError(f"need {rows * cols} entries")
         flat = []
         for e in entries:
-            re = _need(e, "re")
-            im = _need(e, "im")
+            re, im = _need(e, "re"), _need(e, "im")
             if isinstance(re, bool) or isinstance(im, bool):
                 raise ValueError("entries must be numbers")
             if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
@@ -184,11 +183,11 @@ def doc_to_matrix(doc: dict):
 
 
 def factor_set_to_doc(fs: FactorSet) -> dict:
-    rows = []
-    for g in fs.elements():
-        for h in fs.elements():
-            p = fs.phi(g, h)
-            rows.append({"g": list(g), "h": list(h), "num": p.num, "den": p.den})
+    div = np.gcd(fs.exp, fs.den)  # rows in lowest terms
+    elems = list(fs.elements())
+    rows = [{"g": list(g), "h": list(h), "num": a, "den": b}
+            for g, nums, dens in zip(elems, (fs.exp // div).tolist(), (fs.den // div).tolist())
+            for h, a, b in zip(elems, nums, dens)]
     return {"orders": list(fs.orders), "table": rows}
 
 
@@ -202,8 +201,7 @@ def doc_to_factor_set(doc: dict) -> FactorSet:
         raise ValueError("table must be a list")
     table = {}
     for row in rows:
-        g = _need(row, "g")
-        h = _need(row, "h")
+        g, h = _need(row, "g"), _need(row, "h")
         if not isinstance(g, list) or not isinstance(h, list):
             raise ValueError("g and h must be lists of integers")
         gt = tuple(_as_int(x, "g entry") for x in g)
@@ -212,9 +210,9 @@ def doc_to_factor_set(doc: dict) -> FactorSet:
             raise ValueError("g and h must match the number of orders")
         if (gt, ht) in table:
             raise ValueError(f"table has a second entry for {(gt, ht)}")
-        table[(gt, ht)] = _parse_phase(row, "table entry")
+        table[(gt, ht)] = _fraction(row, "table entry")
     try:
-        return FactorSet(orders, table)
+        return FactorSet._from_exponents(*_table_exponents(orders, table))
     except Exception as exc:
         raise ValueError(f"bad factor set: {exc}") from exc
 
@@ -232,8 +230,7 @@ def doc_to_flux(doc: dict) -> MagneticLattice:
         pair = _need(doc, name)
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"{name} must be [p, q]")
-        p = _as_int(pair[0], f"{name} numerator")
-        q = _as_int(pair[1], f"{name} denominator")
+        p, q = _as_int(pair[0], f"{name} numerator"), _as_int(pair[1], f"{name} denominator")
         if q == 0:
             raise ValueError(f"{name} denominator must be nonzero")
         vals.append((p, q))

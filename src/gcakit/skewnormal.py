@@ -15,8 +15,10 @@ tail, and the entry reduction of U is kept only if det stays +-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import BadModulus, DimensionMismatch, NotAntisymmetric
+from .matrices import _is_integer
 from .report import Check, VerificationReport
 
 __all__ = [
@@ -74,13 +76,19 @@ def validate_tmatrix(raw, nhat: int) -> TMatrix:
     lower triangle is rebuilt as its exact negative, so t[j][k] = -t[k][j]
     holds over the integers, not only mod nhat.
     """
+    if not _is_integer(nhat):
+        raise BadModulus(f"nhat must be an integer, got {nhat!r}")
     if nhat < 2:
         raise BadModulus(f"nhat must be >= 2, got {nhat}")
     rows = [list(r) for r in raw]
     n = len(rows)
     for r in rows:
+        for x in r:
+            if not _is_integer(x):
+                raise ValueError(f"matrix entries must be integers, got {x!r}")
         if len(r) != n:
             raise DimensionMismatch("t must be square")
+    out = [[0] * n for _ in range(n)]
     for j in range(n):
         if rows[j][j] % nhat != 0:
             raise NotAntisymmetric(f"t[{j}][{j}] = {rows[j][j]} is nonzero mod {nhat}")
@@ -90,12 +98,8 @@ def validate_tmatrix(raw, nhat: int) -> TMatrix:
                     f"t[{j}][{k}] + t[{k}][{j}] = {rows[j][k] + rows[k][j]}"
                     f" is nonzero mod {nhat}"
                 )
-    out = [[0] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            v = _sym_residue(rows[j][k], nhat)
-            out[j][k] = v
-            out[k][j] = -v
+            out[j][k] = _sym_residue(rows[j][k], nhat)
+            out[k][j] = -out[j][k]
     return TMatrix(n, tuple(tuple(r) for r in out), nhat)
 
 
@@ -211,17 +215,10 @@ def skew_normal_form(t: TMatrix) -> SkewNormalForm:
 
     # blocks whose invariant vanishes mod nhat are commuting pairs: demote
     # them to the zero tail by a coordinate permutation (u gets u @ P^T)
-    keep = [i for i, b in enumerate(blocks) if b % nhat != 0]
-    if len(keep) != len(blocks):
-        perm = []
-        for i in keep:
-            perm += [2 * i, 2 * i + 1]
-        for i in range(len(blocks)):
-            if i not in keep:
-                perm += [2 * i, 2 * i + 1]
-        perm += list(range(2 * len(blocks), n))
-        u = [[row[c] for c in perm] for row in u]
-        blocks = [blocks[i] for i in keep]
+    order = sorted(range(len(blocks)), key=lambda i: blocks[i] % nhat == 0)  # stable
+    perm = [c for i in order for c in (2 * i, 2 * i + 1)] + list(range(2 * len(blocks), n))
+    u = [[row[c] for c in perm] for row in u]
+    blocks = [blocks[i] for i in order if blocks[i] % nhat != 0]
     t_inv = tuple(b % nhat for b in blocks)
 
     # best-effort entry shrink: congruence survives any mod-nhat change of u,
@@ -244,17 +241,12 @@ def verify_congruence(t: TMatrix, f: SkewNormalForm) -> VerificationReport:
     det = int_det(f.u)
     checks.append(Check("unimodular", abs(det) == 1, f"det(u) = {det}"))
 
-    tcal = f.tcal()
     n, nhat = t.n, t.nhat
-    first_bad = None
-    for j in range(n):
-        for k in range(n):
-            rec = sum(f.u[j][a] * tcal[a][b] * f.u[k][b] for a in range(n) for b in range(n))
-            if (rec - t.t[j][k]) % nhat != 0:
-                first_bad = (j, k)
-                break
-        if first_bad:
-            break
+    # u Tcal once, then each entry of (u Tcal) u^T is one row product, row-major
+    cols = list(zip(*f.tcal()))
+    ut = [[sum(map(mul, row, col)) for col in cols] for row in f.u]
+    first_bad = next(((j, k) for j in range(n) for k in range(n)
+                      if (sum(map(mul, ut[j], f.u[k])) - t.t[j][k]) % nhat), None)
     checks.append(
         Check(
             "congruence",

@@ -17,7 +17,7 @@ from math import gcd
 import numpy as np
 
 from .errors import BadOrder, DegenerateBlock
-from .matrices import MonomialMatrix
+from .matrices import MonomialMatrix, _is_integer
 from .phase import Phase
 
 __all__ = [
@@ -39,10 +39,13 @@ def weyl_word(order: int, k: int, l: int) -> MonomialMatrix:
     B^l puts w^(l*c) on column c and A^k moves it to row c - k, so the word
     is two index arrays over the denominator N, with no product or power.
     """
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+    if not _is_integer(order):
         raise BadOrder(f"order must be an integer, got {order!r}")
     if order < 1:
         raise BadOrder(f"order must be >= 1, got {order}")
+    ints = (int, np.integer)  # two isinstance tests: every build runs this
+    if bool in (type(k), type(l)) or not (isinstance(k, ints) and isinstance(l, ints)):
+        raise ValueError(f"word exponents must be integers, got k={k!r}, l={l!r}")
     c = np.arange(order, dtype=np.int64)
     return MonomialMatrix._new((c - k % order) % order, (l % order) * c % order, order)
 
@@ -121,6 +124,8 @@ def sylvester(n: int) -> np.ndarray:
 
 def sylvester_inverse(n: int) -> np.ndarray:
     """Exact inverse (1/n) * w^(-j*k) of the Sylvester matrix."""
+    if n < 1:
+        raise BadOrder(f"order must be >= 1, got {n}")
     out = np.empty((n, n), dtype=complex)
     for j in range(n):
         for k in range(n):

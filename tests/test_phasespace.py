@@ -329,6 +329,21 @@ def test_params_validation():
     assert (p.k, p.n) == (1, 1)  # entries live mod the order
 
 
+@pytest.mark.parametrize("name", ["k", "l", "m", "n"])
+@pytest.mark.parametrize("value", [1.0, 0.5, True, "1"])
+def test_params_entries_must_be_integers(name, value):
+    # k = 1.0 used to pass and make canonical_pair fail inside Phase
+    entries = {"k": 1, "l": 0, "m": 0, "n": 1, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        CanonicalParams(**entries, order=2)
+
+
+@pytest.mark.parametrize("order", [4.0, True, "4"])
+def test_params_order_must_be_an_integer(order):
+    with pytest.raises(BadOrder, match="order must be an integer"):
+        CanonicalParams(k=1, l=0, m=0, n=1, order=order)
+
+
 def test_identity_params_change_nothing():
     p = CanonicalParams(k=1, l=0, m=0, n=1, order=6)
     ap, bp = canonical_pair(p)
@@ -516,6 +531,18 @@ def test_flux_coercion_and_rejection():
     assert MagneticLattice(Fraction(2, 5), 0, 0).f12 == Fraction(2, 5)
     with pytest.raises(IrrationalFlux):
         MagneticLattice(0.333, 0, 0)
+
+
+@pytest.mark.parametrize("flux", [(2.7, 3), (1, 3.0), (True, 3), ("1", "3"), (Fraction(1, 2), 3), True])
+def test_flux_pairs_and_scalars_must_be_integers(flux):
+    # (2.7, 3) used to become 2/3 through int()
+    with pytest.raises(IrrationalFlux):
+        MagneticLattice(flux, 0, 0)
+
+
+def test_numpy_integer_flux_reads_as_int():
+    lat = MagneticLattice((np.int64(1), np.int32(3)), np.int64(2), 0)
+    assert lat.fluxes() == (Fraction(1, 3), Fraction(2), Fraction(0))
 
 
 def test_zero_field_is_trivial():

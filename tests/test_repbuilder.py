@@ -927,3 +927,16 @@ def test_exponent_table_set_up_sums_exponents_past_int64():
     assert fs.den == den and sum(fs.exp.tolist()[1]) == 3 * den >= 2**63
     pr = projective_rep(fs)
     assert (pr.commutators, pr.gens) == projective_setup_by_phases(fs)
+
+
+@pytest.mark.parametrize("exp", [0.1, 0.5, np.float64(0.25), True])
+def test_bilinear_rejects_exponents_that_are_not_exact(exp):
+    # 0.1 used to be read as a phase over 2**55
+    with pytest.raises(ValueError, match="bilinear exponents must be exact rationals"):
+        FactorSet.bilinear((2, 2), [[exp, 0], [0, 0]])
+
+
+def test_bilinear_takes_ints_fractions_strings_and_numpy_integers():
+    one = FactorSet.bilinear((2, 2), [[0, "1/2"], [np.int64(0), 0]])
+    two = FactorSet.bilinear((2, 2), [[0, Fraction(1, 2)], [0, 0]])
+    assert one.table == two.table

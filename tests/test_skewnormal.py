@@ -228,3 +228,47 @@ def test_matrix_congruent_to_blocks_reduces(size, data):
     ua = np.array(u, dtype=object).reshape(n, n)
     f = assert_reduces(validate_tmatrix((ua @ tcal @ ua.T).tolist(), nhat))
     assert prod(nhat // gcd(x, nhat) for x in f.t_inv) == prod(nhat // gcd(b, nhat) for b in blocks)
+
+
+@pytest.mark.parametrize("entry", [1.5, 2.0, True, "1", None])
+def test_validate_rejects_entries_that_are_not_integers(entry):
+    # 1.5 used to pass, and skew_normal_form returned t_inv = (1.5,)
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        validate_tmatrix([[0, entry], [-1, 0]], 4)
+
+
+@pytest.mark.parametrize("nhat", [4.0, True, "4"])
+def test_validate_rejects_a_modulus_that_is_not_an_integer(nhat):
+    with pytest.raises(BadModulus, match="nhat must be an integer"):
+        validate_tmatrix([[0, 1], [-1, 0]], nhat)
+
+
+def test_validate_takes_numpy_integers():
+    raw = np.array([[0, 3], [-3, 0]])
+    assert validate_tmatrix(raw, np.int64(4)).t == validate_tmatrix([[0, 3], [-3, 0]], 4).t
+
+
+def _brute_first_mismatch(t, f):
+    """The n^4 scan the congruence check used to run."""
+    tcal, n = f.tcal(), t.n
+    for j in range(n):
+        for k in range(n):
+            rec = sum(f.u[j][a] * tcal[a][b] * f.u[k][b] for a in range(n) for b in range(n))
+            if (rec - t.t[j][k]) % t.nhat:
+                return (j, k)
+    return None
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.integers(1, 8), st.integers(2, 12), st.data())
+def test_congruence_reports_the_brute_force_first_mismatch(n, nhat, data):
+    t = random_tmatrix(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n, nhat)
+    f = skew_normal_form(t)
+    u = [list(row) for row in f.u]
+    for _ in range(data.draw(st.integers(0, 3))):  # break u on purpose
+        u[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] += data.draw(st.integers(-3, 3))
+    broken = SkewNormalForm(n=f.n, s=f.s, t_inv=f.t_inv, u=tuple(tuple(r) for r in u))
+    bad = _brute_first_mismatch(t, broken)
+    check = verify_congruence(t, broken).checks[1]
+    assert check.name == "congruence" and check.passed == (bad is None)
+    assert check.detail == ("t = u tcal u^T mod nhat" if bad is None else f"first mismatch at {bad}")

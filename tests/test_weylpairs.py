@@ -125,3 +125,20 @@ def test_hermitian_logs_exponentiate_to_the_pair():
         angle = 2 * np.pi / n
         assert max_abs_diff(expm_unitary(q, angle), to_dense(clock(n))) < 1e-10
         assert max_abs_diff(expm_unitary(p, angle), to_dense(shift(n))) < 1e-10
+
+
+@pytest.mark.parametrize("k, l", [(1.5, 0), (1, 0.5), (2.0, 1), (True, 0), (0, False), ("1", 0)])
+def test_words_reject_exponents_that_are_not_integers(k, l):
+    # k = 1.5 used to give the target [2.5, 3.5, 0.5, 1.5]; l = 0.5 float exponents
+    with pytest.raises(ValueError, match="word exponents must be integers"):
+        weyl_word(4, k, l)
+
+
+def test_words_take_numpy_integer_exponents_as_ints():
+    assert weyl_word(4, np.int64(-3), np.int32(6)) == weyl_word(4, -3, 6)
+
+
+def test_sylvester_inverse_rejects_order_zero_like_sylvester():
+    for make in (sylvester, sylvester_inverse):
+        with pytest.raises(BadOrder, match="order must be >= 1, got 0"):
+            make(0)
