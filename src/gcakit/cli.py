@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GcaError, NotFinite, UnsupportedTransform
 from .lmatrix import LSpec, diagonalize_l, family_rep, l_matrix, nth_power_check
-from .matrices import DEFAULT_TOL, MonomialMatrix, max_abs_diff
+from .matrices import DEFAULT_TOL, max_abs_diff, to_dense, within_tol
 from .phase import Phase
 from .phasespace import (
     CanonicalParams,
@@ -96,11 +96,11 @@ def _float_list(text: str, what: str) -> tuple[float, ...]:
         raise ValueError(f"{what} must be comma-separated numbers: {text!r}") from exc
 
 
-def _any_matrix(arg: str):
-    """A matrix document, or a bare JSON array of (possibly complex-pair) rows."""
+def _any_matrix(arg: str) -> np.ndarray:
+    """A matrix document, or a bare JSON array of (possibly complex-pair) rows, as a dense array."""
     doc = _read_json_arg(arg)
     if isinstance(doc, dict):
-        return doc_to_matrix(doc)
+        return to_dense(doc_to_matrix(doc))
     if isinstance(doc, list):
         arr = np.asarray(doc)
         if arr.ndim != 2:
@@ -110,6 +110,11 @@ def _any_matrix(arg: str):
         except OverflowError:  # an integer past the float range
             raise NotFinite("matrix entries must be finite") from None
     raise ValueError("matrix argument must be an object or an array")
+
+
+def _round_trip(back: np.ndarray, want: np.ndarray, tol: float) -> tuple[float, bool]:
+    dev = max_abs_diff(back, want)
+    return dev, within_tol(dev, max(np.max(np.abs(back)), np.max(np.abs(want))), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +288,7 @@ def _cmd_ldiag(args):
 def _cmd_decompose(args):
     m = _any_matrix(args.matrix)
     sc = schwinger_coeffs(m)
-    recon = max_abs_diff(schwinger_reconstruct(sc), m)
-    scale = 1.0 + float(np.max(np.abs(np.asarray(sc.coeffs))))
-    passed = recon <= args.tol * scale
+    recon, passed = _round_trip(schwinger_reconstruct(sc), m, args.tol)
     return {
         "order": sc.order,
         "coeffs": matrix_to_doc(sc.coeffs),
@@ -295,8 +298,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_wigner(args):
-    m = _any_matrix(args.matrix)
-    dense = m.to_dense() if isinstance(m, MonomialMatrix) else np.asarray(m, dtype=complex)
+    dense = _any_matrix(args.matrix)
     if args.direction == "fwd":
         d = dense.shape[0]
         if dense.ndim != 2 or dense.shape != (d, d):
@@ -393,15 +395,13 @@ def _cmd_selftest(args):
     record("random skew normal form", verify_congruence(t, skew_normal_form(t)).overall)
 
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    sc = schwinger_coeffs(m)
-    dev = max_abs_diff(schwinger_reconstruct(sc), m)
-    record("word expansion round trip", dev <= args.tol * 100, f"deviation {dev:.3e}")
+    dev, ok = _round_trip(schwinger_reconstruct(schwinger_coeffs(m)), m, args.tol)
+    record("word expansion round trip", ok, f"deviation {dev:.3e}")
 
     w = rng.normal(size=(5, 5))
-    table = WignerTable(nu=2, w=w)
-    back = wigner_inverse(wigner_forward(table), tol=args.tol * 100)
-    dev = max_abs_diff(back.w, w)
-    record("phase-space round trip", dev <= args.tol * 100, f"deviation {dev:.3e}")
+    back = wigner_inverse(wigner_forward(WignerTable(nu=2, w=w)), tol=args.tol)
+    dev, ok = _round_trip(back.w, w, args.tol)
+    record("phase-space round trip", ok, f"deviation {dev:.3e}")
 
     try:
         res = canonical_intertwiner(CanonicalParams(k=0, l=1, m=1, n=0, order=2))

@@ -24,7 +24,7 @@ from .errors import (
     NotReal,
     ZeroVector,
 )
-from .matrices import DEFAULT_TOL, max_abs_diff
+from .matrices import DEFAULT_TOL, max_abs_diff, within_tol
 from .repbuilder import Representation, ordered_gca_generators
 
 __all__ = [
@@ -131,11 +131,10 @@ def diagonalize_l(spec: LSpec, tol: float = DEFAULT_TOL) -> DiagonalizationResul
     """
     if family_order(spec.rep) != 2:
         raise BadOrder("diagonalization requires the order-2 anticommuting family")
-    lam = []
     for x in spec.lam:
-        if abs(x.imag) > 0:
+        if x.imag:
             raise NotReal(f"coefficients must be real, got {x}")
-        lam.append(x.real)
+    lam = [x.real for x in spec.lam]
     # u does not change when lam is scaled, so Lambda, u and the conjugated
     # L are taken on lam scaled by a power of two (exact), which neither
     # underflows nor overflows; Lambda and the eigenvalues are scaled back
@@ -176,8 +175,8 @@ def diagonalize_l(spec: LSpec, tol: float = DEFAULT_TOL) -> DiagonalizationResul
 
     transformed = u @ _combination(unit, gens, dim) @ u.conj().T
     dev = max_abs_diff(transformed, unit_lambda * gens[axis].to_dense())
-    # on the scaled L; written so that a NaN deviation fails
-    if not dev <= max(tol, 1e-9 * unit_lambda):
+    # on the scaled L, whose size is Lambda: u is unitary and L^2 = Lambda^2
+    if not within_tol(dev, unit_lambda, tol):
         raise GcaError(f"conjugation check failed, deviation {dev:.3e}")
     try:
         eig = np.array([math.ldexp(x, e) for x in np.real(np.diag(transformed)).tolist()])
@@ -201,20 +200,21 @@ class NthPowerReport:
 
 
 def nth_power_check(spec: LSpec, tol: float = DEFAULT_TOL) -> NthPowerReport:
-    """Measure L^N against the scalar sum_j lam_j^N on an order-N family."""
+    """L^N against sum_j lam_j^N on an order-N family; deviation and gate are relative to |L|^N
+    in the submultiplicative max-row-sum norm, since the terms of the sum can cancel."""
     order = family_order(spec.rep)
     if order is None:
         raise BadOrder("power law check is defined on the standard families only")
     try:
         scalar = sum(x**order for x in spec.lam)
-        size = abs(scalar)
     except OverflowError:
-        size = math.inf
-    if not math.isfinite(size):
+        scalar = math.inf
+    if not cmath.isfinite(scalar):
         raise NotFinite(f"the sum of lam_j^{order} overflows the float range")
+    ell = l_matrix(spec)
     with np.errstate(all="ignore"):
-        power = np.linalg.matrix_power(l_matrix(spec), order)
-        dev = max_abs_diff(power, scalar * np.eye(spec.rep.dim)) / (1.0 + size)
-    if not math.isfinite(dev):
+        dev = max_abs_diff(np.linalg.matrix_power(ell, order), scalar * np.eye(spec.rep.dim))
+        size = float(np.linalg.norm(ell, np.inf) ** order)
+    if not (math.isfinite(dev) and math.isfinite(size)):
         raise NotFinite(f"L^{order} overflows the float range")
-    return NthPowerReport(order=order, scalar=scalar, deviation=dev, passed=dev <= tol)
+    return NthPowerReport(order, scalar, dev / size if size else dev, within_tol(dev, size, tol))

@@ -31,10 +31,26 @@ __all__ = [
     "phase_sum",
     "to_dense",
     "max_abs_diff",
+    "within_tol",
 ]
 
 DEFAULT_TOL = 1e-10
+"""Tolerance of every dense gate, judged by within_tol: relative to the size
+of what is compared (the larger side's largest entry for a difference, the
+product of the operands' max-row-sum norms for a product), with an exact
+zero compared exactly."""
 MAX_DEN = 2**62
+
+
+def within_tol(dev, size, tol) -> bool:
+    """The one rule of every dense gate: dev <= tol * size, for a finite size.
+
+    dev is the largest entrywise deviation and size that of what is compared,
+    so scaling the input by a power of two, which is exact in binary floating
+    point, leaves the verdict unchanged.  When size is 0 only dev == 0
+    passes; a NaN, or a size that overflowed to inf, fails.
+    """
+    return bool(dev <= tol * size < np.inf)
 
 
 def _check_den(den: int) -> int:

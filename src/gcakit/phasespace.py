@@ -9,7 +9,6 @@ generators for rational flux triples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -27,12 +26,12 @@ from .errors import (
     NotReal,
     UnsupportedTransform,
 )
-from .matrices import DEFAULT_TOL, MonomialMatrix, _is_integer, max_abs_diff, phase_sum, to_dense
+from .matrices import DEFAULT_TOL, MonomialMatrix, _is_integer, max_abs_diff, phase_sum, to_dense, within_tol
 from .phase import Phase
 from .repbuilder import GcaSpec, Representation, build_representation
 from .report import Check, VerificationReport
 from .skewnormal import validate_tmatrix
-from .weylpairs import clock, shift, weyl_word
+from .weylpairs import _order, clock, shift, weyl_word
 
 __all__ = [
     "weyl_word",
@@ -158,13 +157,15 @@ class WignerTable:
     w: np.ndarray
 
     def __post_init__(self):
+        if not _is_integer(self.nu):
+            raise BadOrder(f"nu must be an integer, got {self.nu!r}")
         d = 2 * self.nu + 1
         arr = np.asarray(self.w)
         if arr.shape != (d, d):
             raise DimensionMismatch(f"table must be {d}x{d}, got {arr.shape}")
         _finite(arr, "table entries must be finite")
         if np.iscomplexobj(arr):
-            if np.max(np.abs(arr.imag)) > 1e-9 * (1.0 + np.max(np.abs(arr))):
+            if not within_tol(np.max(np.abs(arr.imag)), np.max(np.abs(arr)), 1e-9):
                 raise NotReal("table entries must be real")
             arr = arr.real
         object.__setattr__(self, "w", arr.astype(float))
@@ -195,12 +196,12 @@ def wigner_inverse(h, tol: float = DEFAULT_TOL) -> WignerTable:
     d = dense.shape[0]
     if d % 2 == 0:
         raise EvenDimension(f"dimension must be odd, got {d}")
-    if max_abs_diff(dense, dense.conj().T) > tol * (1.0 + np.max(np.abs(dense))):
+    if not within_tol(max_abs_diff(dense, dense.conj().T), np.max(np.abs(dense)), tol):  # |H| = |H^dag|
         raise NotHermitian("operator must be hermitian")
     nu = (d - 1) // 2
     v = _word_dft(dense).T * _wigner_twist(nu).conj()
     table = _finite(d * np.fft.ifft2(v))
-    if np.max(np.abs(table.imag)) > tol * (1.0 + np.max(np.abs(table))):
+    if not within_tol(np.max(np.abs(table.imag)), np.max(np.abs(table)), tol):
         raise NotReal("reconstructed table has a complex residue")
     return WignerTable(nu=nu, w=table.real)
 
@@ -224,15 +225,14 @@ class CanonicalParams:
     order: int
 
     def __post_init__(self):
-        if not _is_integer(self.order):
-            raise BadOrder(f"order must be an integer, got {self.order!r}")
+        object.__setattr__(self, "order", _order(self.order))
         if self.order < 2 or self.order % 2 != 0:
             raise BadOrder(f"order must be even and >= 2, got {self.order}")
         for name in ("k", "l", "m", "n"):
             x = getattr(self, name)
             if not _is_integer(x):
                 raise ValueError(f"{name} must be an integer, got {x!r}")
-            object.__setattr__(self, name, x % self.order)
+            object.__setattr__(self, name, int(x) % self.order)
         det = (self.k * self.n - self.l * self.m) % self.order
         if det != 1:
             raise BadDeterminant(f"k n - l m = {det} mod {self.order}, need 1")
@@ -268,11 +268,9 @@ class CanonicalResult:
 
 
 def _fit_scalar(lhs: np.ndarray, rhs: np.ndarray):
-    # best unit scalar z with lhs ~ z * rhs, plus the residual it leaves
+    # best unit scalar z with lhs ~ z * rhs (1 when they are orthogonal), plus the residual it leaves
     z = np.vdot(rhs, lhs)
-    if abs(z) == 0.0:
-        return 1.0 + 0j, float(max_abs_diff(lhs, rhs))
-    z /= abs(z)
+    z = z / abs(z) if z else 1.0 + 0j
     return z, float(max_abs_diff(lhs, z * rhs))
 
 
@@ -300,12 +298,8 @@ def _gauss_table(p: CanonicalParams, q: int) -> np.ndarray:
     original pair on the right, so by Schur's lemma it is N conj(U[0, q]) U
     for the unitary intertwiner U: nonzero exactly when U[0, q] is.
     """
-    order = p.order
-    s = np.zeros((order, order), dtype=complex)
-    for y in range(order):
-        for x in range(order):
-            s[x, y] = phase_sum(_gauss_terms(p, q, x, y))
-    return s
+    r = range(p.order)
+    return np.array([[phase_sum(_gauss_terms(p, q, x, y)) for y in r] for x in r], dtype=complex)
 
 
 def canonical_intertwiner(p: CanonicalParams, tol: float = DEFAULT_TOL) -> CanonicalResult:
@@ -326,16 +320,15 @@ def canonical_intertwiner(p: CanonicalParams, tol: float = DEFAULT_TOL) -> Canon
     corners = [phase_sum(_gauss_terms(p, q, 0, q)) for q in range(order)]
     q = int(np.argmax(np.abs(corners)))
     s = _gauss_table(p, q) / corners[q]
-
-    a = shift(order).to_dense()
-    b = clock(order).to_dense()
-    zeta_a, res_a = _fit_scalar(ap.to_dense() @ s, s @ a)
-    zeta_b, res_b = _fit_scalar(bp.to_dense() @ s, s @ b)
-    smallest = float(np.linalg.svd(s, compute_uv=False)[-1])
+    zeta_a, res_a = _fit_scalar(ap.to_dense() @ s, s @ shift(order).to_dense())
+    zeta_b, res_b = _fit_scalar(bp.to_dense() @ s, s @ clock(order).to_dense())
+    # each side of a relation is S times a unitary monomial, so |S| sizes it
+    size = np.linalg.norm(s, np.inf)
+    sv = np.linalg.svd(s, compute_uv=False)
     checks = (
-        Check("relation A", res_a <= tol, f"zeta_a = {zeta_a:.6f}, residual {res_a:.3e}"),
-        Check("relation B", res_b <= tol, f"zeta_b = {zeta_b:.6f}, residual {res_b:.3e}"),
-        Check("invertible", smallest > math.sqrt(tol), f"smallest singular value {smallest:.3e}"),
+        Check("relation A", within_tol(res_a, size, tol), f"zeta_a = {zeta_a:.6f}, residual {res_a:.3e}"),
+        Check("relation B", within_tol(res_b, size, tol), f"zeta_b = {zeta_b:.6f}, residual {res_b:.3e}"),
+        Check("invertible", not within_tol(sv[-1], sv[0], tol), f"smallest singular value {sv[-1]:.3e}"),
     )
     report = VerificationReport(checks)
     if not report.overall:
@@ -347,12 +340,15 @@ def canonical_intertwiner(p: CanonicalParams, tol: float = DEFAULT_TOL) -> Canon
 # magnetic translations for rational flux
 
 def _as_flux(x) -> Fraction:
-    if isinstance(x, (Fraction, str)):
-        return Fraction(x)
-    if _is_integer(x):
-        return Fraction(int(x))
-    if isinstance(x, (tuple, list)) and len(x) == 2 and all(map(_is_integer, x)):
-        return Fraction(int(x[0]), int(x[1]))
+    try:
+        if isinstance(x, (Fraction, str)):
+            return Fraction(x)
+        if _is_integer(x):
+            return Fraction(int(x))
+        if isinstance(x, (tuple, list)) and len(x) == 2 and all(map(_is_integer, x)):
+            return Fraction(int(x[0]), int(x[1]))
+    except ZeroDivisionError:
+        raise IrrationalFlux(f"flux denominator must be nonzero, got {x!r}") from None
     raise IrrationalFlux(
         f"flux must be an exact rational (Fraction, int, 'p/q', or (p, q)), got {x!r}"
     )
@@ -404,5 +400,7 @@ def bloch_phase(lat: MagneticLattice, steps) -> Phase:
     steps = (n1, n2, n3); the phase exponent is
     n1 n2 f12 + n1 n3 f13 + n2 n3 f23 taken mod 1.
     """
+    if not all(map(_is_integer, steps)):
+        raise ValueError(f"steps must be integers, got {steps!r}")
     n1, n2, n3 = (int(x) for x in steps)
     return Phase.from_fraction(n1 * n2 * lat.f12 + n1 * n3 * lat.f13 + n2 * n3 * lat.f23)

@@ -33,16 +33,22 @@ __all__ = [
 ]
 
 
+def _order(order) -> int:
+    """order as an int, when it is an integer >= 1; BadOrder otherwise."""
+    if not _is_integer(order):
+        raise BadOrder(f"order must be an integer, got {order!r}")
+    if order < 1:
+        raise BadOrder(f"order must be >= 1, got {order}")
+    return int(order)
+
+
 def weyl_word(order: int, k: int, l: int) -> MonomialMatrix:
     """The unitary word A^k B^l on the order-N clock/shift pair.
 
     B^l puts w^(l*c) on column c and A^k moves it to row c - k, so the word
     is two index arrays over the denominator N, with no product or power.
     """
-    if not _is_integer(order):
-        raise BadOrder(f"order must be an integer, got {order!r}")
-    if order < 1:
-        raise BadOrder(f"order must be >= 1, got {order}")
+    order = _order(order)
     ints = (int, np.integer)  # two isinstance tests: every build runs this
     if bool in (type(k), type(l)) or not (isinstance(k, ints) and isinstance(l, ints)):
         raise ValueError(f"word exponents must be integers, got k={k!r}, l={l!r}")
@@ -113,8 +119,7 @@ def symmetric_pair(nu: int) -> WeylPair:
 
 def sylvester(n: int) -> np.ndarray:
     """The matrix S[j][k] = w^(j*k), which conjugates clock into shift."""
-    if n < 1:
-        raise BadOrder(f"order must be >= 1, got {n}")
+    n = _order(n)
     out = np.empty((n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
@@ -124,8 +129,7 @@ def sylvester(n: int) -> np.ndarray:
 
 def sylvester_inverse(n: int) -> np.ndarray:
     """Exact inverse (1/n) * w^(-j*k) of the Sylvester matrix."""
-    if n < 1:
-        raise BadOrder(f"order must be >= 1, got {n}")
+    n = _order(n)
     out = np.empty((n, n), dtype=complex)
     for j in range(n):
         for k in range(n):

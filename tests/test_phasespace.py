@@ -141,6 +141,14 @@ def test_wigner_table_validation():
     assert t.w.dtype == float
 
 
+@pytest.mark.parametrize("nu", [1.5, 1.0, True])
+def test_wigner_table_nu_must_be_an_integer(nu):
+    # nu = 1.5 used to accept a 4 x 4 table, an even dimension
+    d = int(2 * nu + 1)
+    with pytest.raises(BadOrder, match="nu must be an integer"):
+        WignerTable(nu=nu, w=np.ones((d, d)))
+
+
 def test_flat_table_collapses_to_identity():
     for nu in (0, 1, 2):
         d = 2 * nu + 1
@@ -344,6 +352,13 @@ def test_params_order_must_be_an_integer(order):
         CanonicalParams(k=1, l=0, m=0, n=1, order=order)
 
 
+def test_numpy_integer_params_are_stored_as_ints():
+    p = CanonicalParams(k=np.int64(5), l=np.int32(0), m=np.int64(0), n=np.int64(1), order=np.int64(4))
+    assert all(type(x) is int for x in (p.k, p.l, p.m, p.n, p.order))
+    assert repr(p) == "CanonicalParams(k=1, l=0, m=0, n=1, order=4)"
+    assert p == CanonicalParams(k=1, l=0, m=0, n=1, order=4)
+
+
 def test_identity_params_change_nothing():
     p = CanonicalParams(k=1, l=0, m=0, n=1, order=6)
     ap, bp = canonical_pair(p)
@@ -538,6 +553,25 @@ def test_flux_pairs_and_scalars_must_be_integers(flux):
     # (2.7, 3) used to become 2/3 through int()
     with pytest.raises(IrrationalFlux):
         MagneticLattice(flux, 0, 0)
+
+
+@pytest.mark.parametrize("flux", [(1, 0), "1/0", [np.int64(2), 0]])
+def test_zero_flux_denominator_is_irrational_flux(flux):
+    # both used to raise a bare ZeroDivisionError from Fraction
+    with pytest.raises(IrrationalFlux, match="denominator must be nonzero"):
+        MagneticLattice(flux, 0, 0)
+
+
+@pytest.mark.parametrize("steps", [(1.5, 2, 0), (True, 2, 0), (1, 2, np.float64(0))])
+def test_bloch_steps_must_be_integers(steps):
+    # (1.5, 2, 0) used to be read as (1, 2, 0)
+    with pytest.raises(ValueError, match="steps must be integers"):
+        bloch_phase(MagneticLattice((1, 3), (1, 4), 0), steps)
+
+
+def test_bloch_steps_take_numpy_integers():
+    lat = MagneticLattice((1, 3), (1, 4), 0)
+    assert bloch_phase(lat, (np.int64(1), np.int32(2), 3)) == bloch_phase(lat, (1, 2, 3))
 
 
 def test_numpy_integer_flux_reads_as_int():

@@ -225,6 +225,25 @@ def test_ordered_rejects_bad_order():
         clifford_generators(0)
 
 
+@pytest.mark.parametrize("n, order", [(True, 3), (4.0, 3), (4, 3.0), (4, True), (np.float64(2), 2)])
+def test_ordered_family_sizes_must_be_integers(n, order):
+    # n = True used to build a one-generator family; n = 4.0 raised a bare TypeError
+    with pytest.raises(BadOrder, match="integer"):
+        ordered_gca_generators(n, order)
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, True])
+def test_clifford_family_size_must_be_an_integer(n):
+    with pytest.raises(BadOrder, match="need an integer n >= 1"):
+        clifford_generators(n)
+
+
+def test_numpy_integer_family_sizes_read_as_ints():
+    rep = ordered_gca_generators(np.int64(3), np.int32(3))
+    assert rep == ordered_gca_generators(3, 3)
+    assert type(rep.dim) is int and all(type(x) is int for x in rep.spec.orders)
+
+
 # ---------------------------------------------------------------------------
 # the general builder
 

@@ -18,6 +18,7 @@ from gcakit import (
     weyl_pair_for,
     weyl_word,
 )
+from gcakit.phasespace import _wigner_twist
 
 
 def test_two_dimensional_pair_is_pauli():
@@ -142,3 +143,56 @@ def test_sylvester_inverse_rejects_order_zero_like_sylvester():
     for make in (sylvester, sylvester_inverse):
         with pytest.raises(BadOrder, match="order must be >= 1, got 0"):
             make(0)
+
+
+@pytest.mark.parametrize("make", [sylvester, sylvester_inverse, hermitian_logs])
+@pytest.mark.parametrize("n", [2.5, 3.0, True])
+def test_sylvester_orders_must_be_integers(make, n):
+    # 2.5 used to raise a bare TypeError and True to build a 1 x 1 matrix
+    with pytest.raises(BadOrder, match="order must be an integer"):
+        make(n)
+
+
+def test_numpy_integer_orders_are_stored_as_int():
+    w = weyl_word(np.int64(4), 1, 2)
+    assert type(w.den) is int and w == weyl_word(4, 1, 2)
+    assert all(type(p.den) is int for p in w.phase)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit oracles: every dense table is a gather from its distinct roots
+
+
+def root_table(n: int, exponents: np.ndarray, divisor: int = 1) -> np.ndarray:
+    """roots[exponents mod n] with roots[j] = Phase(j, n).to_complex() / divisor.
+
+    Each distinct root is divided by the divisor before the gather, as a
+    Python complex; dividing the gathered array instead rounds differently
+    (the last bit differs at n = 3 and 5, among others).
+    """
+    roots = np.array([Phase(j, n).to_complex() / divisor for j in range(n)], dtype=complex)
+    return roots[np.asarray(exponents, dtype=np.int64) % n]
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 31, 32, 64, 96, 256])
+def test_sylvester_tables_are_root_table_gathers(n):
+    jk = np.outer(np.arange(n), np.arange(n))
+    s = root_table(n, jk)
+    assert_same_bits(sylvester(n), s)
+    assert_same_bits(sylvester_inverse(n), root_table(n, -jk, n))
+    q, p = hermitian_logs(n)
+    assert_same_bits(q, np.diag(np.arange(n)).astype(complex))
+    assert_same_bits(p, s @ q @ s.conj().T / n)
+
+
+@pytest.mark.parametrize("nu", range(30))
+def test_wigner_twist_is_a_root_table_gather(nu):
+    d = 2 * nu + 1
+    half = (d + 1) // 2  # the inverse of 2 mod d
+    exponents = [[xe * eta * half - xe * eta - xe * nu for eta in range(d)] for xe in range(d)]
+    assert_same_bits(_wigner_twist(nu), root_table(d, exponents))
