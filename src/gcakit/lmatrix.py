@@ -131,10 +131,11 @@ def diagonalize_l(spec: LSpec, tol: float = DEFAULT_TOL) -> DiagonalizationResul
     """
     if family_order(spec.rep) != 2:
         raise BadOrder("diagonalization requires the order-2 anticommuting family")
+    lam = []
     for x in spec.lam:
-        if x.imag:
+        if abs(x.imag) > 0:
             raise NotReal(f"coefficients must be real, got {x}")
-    lam = [x.real for x in spec.lam]
+        lam.append(x.real)
     # u does not change when lam is scaled, so Lambda, u and the conjugated
     # L are taken on lam scaled by a power of two (exact), which neither
     # underflows nor overflows; Lambda and the eigenvalues are scaled back
@@ -211,10 +212,14 @@ def nth_power_check(spec: LSpec, tol: float = DEFAULT_TOL) -> NthPowerReport:
         scalar = math.inf
     if not cmath.isfinite(scalar):
         raise NotFinite(f"the sum of lam_j^{order} overflows the float range")
-    ell = l_matrix(spec)
-    with np.errstate(all="ignore"):
-        dev = max_abs_diff(np.linalg.matrix_power(ell, order), scalar * np.eye(spec.rep.dim))
-        size = float(np.linalg.norm(ell, np.inf) ** order)
-    if not (math.isfinite(dev) and math.isfinite(size)):
-        raise NotFinite(f"L^{order} overflows the float range")
+    # the relative deviation does not change when lam is scaled by a power of
+    # two (exact), so it is taken on lam scaled to sum |lam_j| in [1/2, 1):
+    # |L| <= sum |lam_j| < 1 (unitary generators), so |L|^N cannot overflow,
+    # and tiny lam no longer put L^N in the subnormal range
+    e = math.frexp(sum(abs(x) for x in spec.lam))[1]
+    unit = [complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in spec.lam]
+    ell = _combination(unit, spec.rep.gens, spec.rep.dim)
+    want = sum(x**order for x in unit) * np.eye(spec.rep.dim)
+    dev = max_abs_diff(np.linalg.matrix_power(ell, order), want)
+    size = float(np.linalg.norm(ell, np.inf) ** order)
     return NthPowerReport(order, scalar, dev / size if size else dev, within_tol(dev, size, tol))

@@ -22,7 +22,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import DenominatorOverflow, DimensionMismatch
+from .errors import BadOrder, DenominatorOverflow, DimensionMismatch
 from .phase import Phase
 
 __all__ = [
@@ -62,6 +62,15 @@ def _check_den(den: int) -> int:
 def _is_integer(x) -> bool:
     """An int or a numpy integer, and not a bool: the rule for integer arguments."""
     return not isinstance(x, bool) and isinstance(x, (int, np.integer))
+
+
+def _int_at_least(x, name: str = "order", low: int = 1) -> int:
+    """x as an int when it is an integer (by _is_integer) >= low; BadOrder naming it otherwise."""
+    if not _is_integer(x):
+        raise BadOrder(f"{name} must be an integer, got {x!r}")
+    if x < low:
+        raise BadOrder(f"{name} must be >= {low}, got {x}")
+    return int(x)
 
 
 def _int_vector(values, what: str) -> np.ndarray:

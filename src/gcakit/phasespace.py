@@ -26,12 +26,21 @@ from .errors import (
     NotReal,
     UnsupportedTransform,
 )
-from .matrices import DEFAULT_TOL, MonomialMatrix, _is_integer, max_abs_diff, phase_sum, to_dense, within_tol
+from .matrices import (
+    DEFAULT_TOL,
+    MonomialMatrix,
+    _int_at_least,
+    _is_integer,
+    max_abs_diff,
+    phase_sum,
+    to_dense,
+    within_tol,
+)
 from .phase import Phase
 from .repbuilder import GcaSpec, Representation, build_representation
 from .report import Check, VerificationReport
 from .skewnormal import validate_tmatrix
-from .weylpairs import _order, clock, shift, weyl_word
+from .weylpairs import clock, shift, weyl_word
 
 __all__ = [
     "weyl_word",
@@ -157,8 +166,7 @@ class WignerTable:
     w: np.ndarray
 
     def __post_init__(self):
-        if not _is_integer(self.nu):
-            raise BadOrder(f"nu must be an integer, got {self.nu!r}")
+        object.__setattr__(self, "nu", _int_at_least(self.nu, "nu", 0))
         d = 2 * self.nu + 1
         arr = np.asarray(self.w)
         if arr.shape != (d, d):
@@ -225,7 +233,7 @@ class CanonicalParams:
     order: int
 
     def __post_init__(self):
-        object.__setattr__(self, "order", _order(self.order))
+        object.__setattr__(self, "order", _int_at_least(self.order))
         if self.order < 2 or self.order % 2 != 0:
             raise BadOrder(f"order must be even and >= 2, got {self.order}")
         for name in ("k", "l", "m", "n"):
@@ -268,9 +276,11 @@ class CanonicalResult:
 
 
 def _fit_scalar(lhs: np.ndarray, rhs: np.ndarray):
-    # best unit scalar z with lhs ~ z * rhs (1 when they are orthogonal), plus the residual it leaves
+    # best unit scalar z with lhs ~ z * rhs, plus the residual it leaves
     z = np.vdot(rhs, lhs)
-    z = z / abs(z) if z else 1.0 + 0j
+    if abs(z) == 0.0:
+        return 1.0 + 0j, float(max_abs_diff(lhs, rhs))
+    z /= abs(z)
     return z, float(max_abs_diff(lhs, z * rhs))
 
 
@@ -298,8 +308,12 @@ def _gauss_table(p: CanonicalParams, q: int) -> np.ndarray:
     original pair on the right, so by Schur's lemma it is N conj(U[0, q]) U
     for the unitary intertwiner U: nonzero exactly when U[0, q] is.
     """
-    r = range(p.order)
-    return np.array([[phase_sum(_gauss_terms(p, q, x, y)) for y in r] for x in r], dtype=complex)
+    order = p.order
+    s = np.zeros((order, order), dtype=complex)
+    for y in range(order):
+        for x in range(order):
+            s[x, y] = phase_sum(_gauss_terms(p, q, x, y))
+    return s
 
 
 def canonical_intertwiner(p: CanonicalParams, tol: float = DEFAULT_TOL) -> CanonicalResult:
@@ -320,8 +334,11 @@ def canonical_intertwiner(p: CanonicalParams, tol: float = DEFAULT_TOL) -> Canon
     corners = [phase_sum(_gauss_terms(p, q, 0, q)) for q in range(order)]
     q = int(np.argmax(np.abs(corners)))
     s = _gauss_table(p, q) / corners[q]
-    zeta_a, res_a = _fit_scalar(ap.to_dense() @ s, s @ shift(order).to_dense())
-    zeta_b, res_b = _fit_scalar(bp.to_dense() @ s, s @ clock(order).to_dense())
+
+    a = shift(order).to_dense()
+    b = clock(order).to_dense()
+    zeta_a, res_a = _fit_scalar(ap.to_dense() @ s, s @ a)
+    zeta_b, res_b = _fit_scalar(bp.to_dense() @ s, s @ b)
     # each side of a relation is S times a unitary monomial, so |S| sizes it
     size = np.linalg.norm(s, np.inf)
     sv = np.linalg.svd(s, compute_uv=False)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["Check", "VerificationReport", "report_lines"]
@@ -34,7 +35,8 @@ class VerificationReport:
                     "name": c.name,
                     "pass": c.passed,
                     "detail": c.detail,
-                    "deviation": c.deviation,
+                    # a dense product that overflowed leaves no number to report
+                    "deviation": c.deviation if math.isfinite(c.deviation) else None,
                 }
                 for c in self.checks
             ],

@@ -17,7 +17,7 @@ from math import gcd
 import numpy as np
 
 from .errors import BadOrder, DegenerateBlock
-from .matrices import MonomialMatrix, _is_integer
+from .matrices import MonomialMatrix, _int_at_least
 from .phase import Phase
 
 __all__ = [
@@ -33,22 +33,13 @@ __all__ = [
 ]
 
 
-def _order(order) -> int:
-    """order as an int, when it is an integer >= 1; BadOrder otherwise."""
-    if not _is_integer(order):
-        raise BadOrder(f"order must be an integer, got {order!r}")
-    if order < 1:
-        raise BadOrder(f"order must be >= 1, got {order}")
-    return int(order)
-
-
 def weyl_word(order: int, k: int, l: int) -> MonomialMatrix:
     """The unitary word A^k B^l on the order-N clock/shift pair.
 
     B^l puts w^(l*c) on column c and A^k moves it to row c - k, so the word
     is two index arrays over the denominator N, with no product or power.
     """
-    order = _order(order)
+    order = _int_at_least(order)
     ints = (int, np.integer)  # two isinstance tests: every build runs this
     if bool in (type(k), type(l)) or not (isinstance(k, ints) and isinstance(l, ints)):
         raise ValueError(f"word exponents must be integers, got k={k!r}, l={l!r}")
@@ -110,8 +101,7 @@ def symmetric_pair(nu: int) -> WeylPair:
     b = diag(w^-nu, ..., w^nu) is the balanced relabeling of the clock used
     by the odd-dimensional phase-space transform; a is the usual shift.
     """
-    if nu < 0:
-        raise BadOrder(f"nu must be >= 0, got {nu}")
+    nu = _int_at_least(nu, "nu", 0)
     d = 2 * nu + 1
     b = MonomialMatrix.from_exponents(np.arange(d), np.arange(d) - nu, d)
     return WeylPair(a=shift(d), b=b, order=d, tau=1, omega=Phase(1, d))
@@ -119,7 +109,7 @@ def symmetric_pair(nu: int) -> WeylPair:
 
 def sylvester(n: int) -> np.ndarray:
     """The matrix S[j][k] = w^(j*k), which conjugates clock into shift."""
-    n = _order(n)
+    n = _int_at_least(n)
     out = np.empty((n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
@@ -129,7 +119,7 @@ def sylvester(n: int) -> np.ndarray:
 
 def sylvester_inverse(n: int) -> np.ndarray:
     """Exact inverse (1/n) * w^(-j*k) of the Sylvester matrix."""
-    n = _order(n)
+    n = _int_at_least(n)
     out = np.empty((n, n), dtype=complex)
     for j in range(n):
         for k in range(n):

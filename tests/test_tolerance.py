@@ -42,6 +42,7 @@ from gcakit.matrices import within_tol
 from gcakit.repbuilder import sigma1
 from gcakit.serialize import matrix_to_doc
 from gcakit.skewnormal import validate_tmatrix
+from gcakit.weylpairs import clock, shift
 
 SRC = Path(gcakit.__file__).parent
 
@@ -88,10 +89,63 @@ def test_tiny_identities_do_not_anticommute():
         assert report.checks[0].deviation == 2 * x * x  # still the absolute deviation
 
 
+def walsh_hadamard(dim: int) -> np.ndarray:
+    h = np.array([[1.0]])
+    while h.shape[0] < dim:
+        h = np.kron(h, [[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    return h
+
+
+def test_a_dense_unitary_of_high_order_is_held_to_its_power():
+    # the clock/shift pair of order 16 conjugated by a Walsh-Hadamard matrix:
+    # dense, unitary, max-row-sum norms above 2
+    h = walsh_hadamard(16)
+    a, b = (h @ to_dense(g) @ h for g in (shift(16), clock(16)))
+    assert min(np.linalg.norm(g, np.inf) for g in (a, b)) > 2
+    t = validate_tmatrix([[0, 1], [-1, 0]], 16)
+    assert verify_relations([a, b], t, (16, 16)).overall
+    # move one eigenvalue of b so that b^16 = I + 1e-6 v v^T, v a column of h
+    w = np.diag(to_dense(clock(16))).copy()
+    w[0] *= (1 + 1e-6) ** (1 / 16)
+    checks = verify_relations([a, h @ np.diag(w) @ h], t, (16, 16)).checks
+    order = {c.name: c for c in checks if c.name.startswith("order")}
+    assert order["order[0]"].passed and not order["order[1]"].passed
+    assert order["order[1]"].deviation == pytest.approx(1e-6 / 16, rel=1e-3)
+
+
+def test_an_overflowing_dense_power_fails_its_order_check():
+    t = validate_tmatrix([[0, 1], [-1, 0]], 2)
+    checks = verify_relations([2 * np.eye(2), np.eye(2)], t, (1100, 2)).checks
+    assert [c.name for c in checks if not c.passed] == ["commute[0,1]", "order[0]"]
+    # gcakit verify reports the failed check, with a null deviation, and exits 1
+    doc = {"nhat": 2, "t": [[0, 1], [-1, 0]], "orders": [1100, 2],
+           "gens": [matrix_to_doc(2 * np.eye(2)), matrix_to_doc(np.eye(2))]}
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["verify", json.dumps(doc)], stdout=out, stderr=err) == 1 and err.getvalue() == ""
+    assert json.loads(out.getvalue())["checks"][1]["deviation"] is None
+
+
+def power_law(lam, order: int):
+    return nth_power_check(LSpec(lam, family_rep(len(lam), order)))
+
+
+@pytest.mark.parametrize("lam, order, k", [
+    ((1 + 1j, 2 - 1j), 2, -525),  # lam ~ 1e-158: lam^2 is subnormal
+    ((1 - 3j, 2j), 2, 510),  # lam ~ 3e153: sum lam^2 ~ 1e308, |L|^2 past the float range
+    ((1 + 1j, 3, -2j), 3, -350),  # lam ~ 4e-106: lam^3 is subnormal
+    ((0.3 - 0.2j, 1.1 + 0.4j, 0.7j, -1), 4, -250),
+])
+def test_the_power_law_deviation_does_not_depend_on_scale(lam, order, k):
+    # the relative deviation is computed on lam scaled to sum |lam_j| in [1/2, 1)
+    ref = power_law(lam, order)
+    r = power_law([x * 2.0**k for x in lam], order)
+    assert r.passed and ref.passed and r.deviation == ref.deviation
+
+
 def test_a_broken_family_fails_the_power_law_at_every_scale():
     # (sigma1, sigma1): L^2 = 4 x^2 I against 2 x^2, judged against |L|^2 = 4 x^2
     bad = dataclasses.replace(clifford_generators(2), gens=(sigma1, sigma1))
-    for x in (1e-6, 1e-12, 1.0):
+    for x in (1e-158, 1e-6, 1e-12, 1.0, 1e150):
         r = nth_power_check(LSpec((x, x), bad))
         assert not r.passed and r.deviation == 0.5
 

@@ -101,6 +101,18 @@ def test_symmetric_pair_balanced_spectrum():
         symmetric_pair(-1)
 
 
+@pytest.mark.parametrize("nu", [1.5, 1.0, True])
+def test_symmetric_pair_nu_must_be_an_integer(nu):
+    # True built the order-3 pair; 1.5 failed inside the monomial constructor
+    with pytest.raises(BadOrder, match="nu must be an integer"):
+        symmetric_pair(nu)
+
+
+def test_numpy_integer_nu_reads_as_int():
+    p = symmetric_pair(np.int64(2))
+    assert p == symmetric_pair(2) and type(p.order) is int
+
+
 def test_sylvester_conjugates_clock_into_shift():
     for n in (2, 3, 4, 7):
         s = sylvester(n)
