@@ -18,27 +18,11 @@ import sys
 import numpy as np
 
 from .errors import GcaError, NotFinite, UnsupportedTransform
-from .lmatrix import LSpec, diagonalize_l, family_rep, l_matrix, nth_power_check
 from .matrices import DEFAULT_TOL, max_abs_diff, to_dense, within_tol
 from .phase import Phase
-from .phasespace import (
-    CanonicalParams,
-    MagneticLattice,
-    WignerTable,
-    bloch_phase,
-    canonical_intertwiner,
-    canonical_pair,
-    magnetic_translation_rep,
-    schwinger_coeffs,
-    schwinger_reconstruct,
-    wigner_forward,
-    wigner_inverse,
-)
 from .repbuilder import (
-    CATALOG_NAMES,
     GcaSpec,
     build_representation,
-    catalog,
     clifford_generators,
     ordered_gca_generators,
     projective_rep,
@@ -54,6 +38,10 @@ from .serialize import (
     matrix_to_doc,
 )
 from .skewnormal import skew_normal_form, validate_tmatrix, verify_congruence
+from .weylpairs import CATALOG_NAMES, catalog
+
+# The dense layers, lmatrix and phasespace, are imported inside the handlers
+# that use them, so the exact subcommands never load them.
 
 __all__ = ["run", "main"]
 
@@ -258,6 +246,8 @@ def _cmd_projrep(args):
 
 
 def _cmd_lmat(args):
+    from .lmatrix import LSpec, family_rep, l_matrix, nth_power_check
+
     lam = _float_list(args.lam, "--lam")
     rep = family_rep(len(lam), args.order)
     spec = LSpec(lam, rep)
@@ -273,6 +263,8 @@ def _cmd_lmat(args):
 
 
 def _cmd_ldiag(args):
+    from .lmatrix import LSpec, diagonalize_l, family_rep
+
     lam = _float_list(args.lam, "--lam")
     spec = LSpec(lam, family_rep(len(lam), 2))
     res = diagonalize_l(spec, tol=args.tol)
@@ -286,6 +278,8 @@ def _cmd_ldiag(args):
 
 
 def _cmd_decompose(args):
+    from .phasespace import schwinger_coeffs, schwinger_reconstruct
+
     m = _any_matrix(args.matrix)
     sc = schwinger_coeffs(m)
     recon, passed = _round_trip(schwinger_reconstruct(sc), m, args.tol)
@@ -298,6 +292,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_wigner(args):
+    from .phasespace import WignerTable, wigner_forward, wigner_inverse
+
     dense = _any_matrix(args.matrix)
     if args.direction == "fwd":
         d = dense.shape[0]
@@ -312,6 +308,8 @@ def _cmd_wigner(args):
 
 
 def _cmd_canonical(args):
+    from .phasespace import CanonicalParams, canonical_intertwiner, canonical_pair
+
     p = CanonicalParams(k=args.k, l=args.l, m=args.m, n=args.n, order=args.order)
     ap, bp = canonical_pair(p)
     res = canonical_intertwiner(p, tol=args.tol)
@@ -327,6 +325,8 @@ def _cmd_canonical(args):
 
 
 def _cmd_magnetic(args):
+    from .phasespace import bloch_phase, magnetic_translation_rep
+
     lat = doc_to_flux(_read_json_arg(args.flux))
     mag = magnetic_translation_rep(lat)
     doc = {
@@ -373,6 +373,18 @@ def _cmd_verify(args):
 
 
 def _cmd_selftest(args):
+    from .phasespace import (
+        CanonicalParams,
+        MagneticLattice,
+        WignerTable,
+        canonical_intertwiner,
+        magnetic_translation_rep,
+        schwinger_coeffs,
+        schwinger_reconstruct,
+        wigner_forward,
+        wigner_inverse,
+    )
+
     rng = np.random.default_rng(args.seed)
     lines = []
     ok_all = True

@@ -23,7 +23,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import BadOrder, DenominatorOverflow, DimensionMismatch
-from .phase import Phase
+from .phase import Phase, _is_integer
 
 __all__ = [
     "DEFAULT_TOL",
@@ -57,11 +57,6 @@ def _check_den(den: int) -> int:
     if den > MAX_DEN:
         raise DenominatorOverflow(f"common phase denominator {den} exceeds 2**62")
     return den
-
-
-def _is_integer(x) -> bool:
-    """An int or a numpy integer, and not a bool: the rule for integer arguments."""
-    return not isinstance(x, bool) and isinstance(x, (int, np.integer))
 
 
 def _int_at_least(x, name: str = "order", low: int = 1) -> int:
@@ -242,6 +237,7 @@ class MonomialMatrix:
 
     @staticmethod
     def identity(dim: int) -> "MonomialMatrix":
+        dim = _int_at_least(dim, "dim", 0)
         return MonomialMatrix._new(np.arange(dim, dtype=np.int64), np.zeros(dim, dtype=np.int64), 1)
 
     @staticmethod

@@ -14,9 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .errors import IrrationalPhase
 
 __all__ = ["Phase", "ONE", "MINUS_ONE", "IMAG", "MINUS_IMAG"]
+
+
+def _is_integer(x) -> bool:
+    """An int or a numpy integer, and not a bool: the rule for integer arguments."""
+    return not isinstance(x, bool) and isinstance(x, (int, np.integer))
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,8 +43,10 @@ class Phase:
             g = gcd(num, den)
             num, den = (num // g) % (den // g), den // g
         else:
+            if not all(isinstance(x, Fraction) or _is_integer(x) for x in (num, den)):
+                raise ValueError(f"phase exponent must be a ratio of integers, got {num!r}/{den!r}")
             f = Fraction(num, den) % 1
-            num, den = f.numerator, f.denominator
+            num, den = int(f.numerator), int(f.denominator)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -34,7 +34,6 @@ from .errors import (
     DimensionMismatch,
     InconsistentOrders,
     InvalidFactorSet,
-    UnknownName,
 )
 from .matrices import (
     DEFAULT_TOL,
@@ -46,7 +45,7 @@ from .matrices import (
     to_dense,
     within_tol,
 )
-from .phase import IMAG, MINUS_IMAG, MINUS_ONE, ONE, Phase
+from .phase import ONE, Phase
 from .report import Check, VerificationReport
 from .skewnormal import TMatrix, skew_normal_form, validate_tmatrix
 from .weylpairs import clock, shift, weyl_pair_for, weyl_word
@@ -60,14 +59,9 @@ __all__ = [
     "clifford_generators",
     "ordered_gca_generators",
     "ordered_mu",
-    "sigma1",
-    "sigma2",
-    "sigma3",
     "FactorSet",
     "ProjectiveRep",
     "projective_rep",
-    "catalog",
-    "CATALOG_NAMES",
 ]
 
 
@@ -270,11 +264,6 @@ def verify_gca(rep: Representation) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # the two closed families: anticommuting (order 2) and uniformly w-commuting
-
-sigma1 = MonomialMatrix(2, (1, 0), (ONE, ONE))
-sigma3 = MonomialMatrix(2, (0, 1), (ONE, MINUS_ONE))
-sigma2 = MonomialMatrix(2, (1, 0), (IMAG, MINUS_IMAG))  # i * sigma1 @ sigma3
-
 
 def _ordered_tmatrix(n: int, nhat: int) -> TMatrix:
     raw = [[0] * n for _ in range(n)]
@@ -538,38 +527,3 @@ def projective_rep(fs: FactorSet) -> ProjectiveRep:
         commutators=tuple(tuple(row) for row in omega),
         gens=tuple(dgens),
     )
-
-
-# ---------------------------------------------------------------------------
-# small catalog of named generator sets
-
-CATALOG_NAMES = ("pauli", "quaternion", "dirac", "dirac_positive_energy")
-
-
-def catalog(name: str) -> dict[str, MonomialMatrix]:
-    """Named generator sets expressed as exact monomial matrices."""
-    ident = MonomialMatrix.identity(2)
-    if name == "pauli":
-        return {"sigma1": sigma1, "sigma2": sigma2, "sigma3": sigma3}
-    if name == "quaternion":
-        return {
-            "one": ident,
-            "i": sigma1.scale(MINUS_IMAG),
-            "j": sigma3.scale(MINUS_IMAG),
-            "k": sigma2.scale(IMAG),
-        }
-    if name == "dirac":
-        return {
-            "alpha_x": sigma1.tensor(sigma1),
-            "alpha_y": sigma1.tensor(sigma2),
-            "alpha_z": sigma1.tensor(sigma3),
-            "beta": sigma3.tensor(ident),
-        }
-    if name == "dirac_positive_energy":
-        return {
-            "beta_prime": sigma2.tensor(ident),
-            "alpha_x_prime": sigma1.tensor(sigma3).scale(MINUS_ONE),
-            "alpha_y_prime": sigma1.tensor(sigma1),
-            "alpha_z_prime": sigma3.tensor(ident),
-        }
-    raise UnknownName(f"no catalog entry named {name!r}; have {CATALOG_NAMES}")

@@ -27,13 +27,16 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NotFinite
 from .matrices import MonomialMatrix, _fraction_exponents
-from .phasespace import MagneticLattice
 from .repbuilder import FactorSet, _table_exponents
+
+if TYPE_CHECKING:  # imported inside doc_to_flux, so loading serialize loads no phasespace
+    from .phasespace import MagneticLattice
 
 __all__ = [
     "emit_json",
@@ -225,6 +228,8 @@ def flux_to_doc(lat: MagneticLattice) -> dict:
 
 
 def doc_to_flux(doc: dict) -> MagneticLattice:
+    from .phasespace import MagneticLattice
+
     vals = []
     for name in ("f12", "f13", "f23"):
         pair = _need(doc, name)

@@ -6,7 +6,8 @@ and A^N = B^N = 1, and at N = 2 reduce to the Pauli matrices sigma1 and
 sigma3.  Every word A^k B^l, A and B included, is built in closed form by
 weyl_word: column c holds w^(l*c) in row (c - k) mod N.  A block with
 commutation exponent t mod nhat is realized by the pair (A, B^tau) of order
-N_t = nhat/gcd(t, nhat) with tau = t/gcd(t, nhat).
+N_t = nhat/gcd(t, nhat) with tau = t/gcd(t, nhat).  The module also holds
+sigma1..sigma3 and catalog, the small named generator sets built from them.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from math import gcd
 
 import numpy as np
 
-from .errors import BadOrder, DegenerateBlock
+from .errors import BadOrder, DegenerateBlock, UnknownName
 from .matrices import MonomialMatrix, _int_at_least
-from .phase import Phase
+from .phase import IMAG, MINUS_IMAG, MINUS_ONE, ONE, Phase
 
 __all__ = [
     "WeylPair",
@@ -30,6 +31,11 @@ __all__ = [
     "sylvester",
     "sylvester_inverse",
     "hermitian_logs",
+    "sigma1",
+    "sigma2",
+    "sigma3",
+    "catalog",
+    "CATALOG_NAMES",
 ]
 
 
@@ -137,3 +143,42 @@ def hermitian_logs(n: int) -> tuple[np.ndarray, np.ndarray]:
     s = sylvester(n)
     p = s @ q @ s.conj().T / n
     return q, p
+
+
+# ---------------------------------------------------------------------------
+# small catalog of named generator sets
+
+sigma1 = MonomialMatrix(2, (1, 0), (ONE, ONE))
+sigma3 = MonomialMatrix(2, (0, 1), (ONE, MINUS_ONE))
+sigma2 = MonomialMatrix(2, (1, 0), (IMAG, MINUS_IMAG))  # i * sigma1 @ sigma3
+
+CATALOG_NAMES = ("pauli", "quaternion", "dirac", "dirac_positive_energy")
+
+
+def catalog(name: str) -> dict[str, MonomialMatrix]:
+    """Named generator sets expressed as exact monomial matrices."""
+    ident = MonomialMatrix.identity(2)
+    if name == "pauli":
+        return {"sigma1": sigma1, "sigma2": sigma2, "sigma3": sigma3}
+    if name == "quaternion":
+        return {
+            "one": ident,
+            "i": sigma1.scale(MINUS_IMAG),
+            "j": sigma3.scale(MINUS_IMAG),
+            "k": sigma2.scale(IMAG),
+        }
+    if name == "dirac":
+        return {
+            "alpha_x": sigma1.tensor(sigma1),
+            "alpha_y": sigma1.tensor(sigma2),
+            "alpha_z": sigma1.tensor(sigma3),
+            "beta": sigma3.tensor(ident),
+        }
+    if name == "dirac_positive_energy":
+        return {
+            "beta_prime": sigma2.tensor(ident),
+            "alpha_x_prime": sigma1.tensor(sigma3).scale(MINUS_ONE),
+            "alpha_y_prime": sigma1.tensor(sigma1),
+            "alpha_z_prime": sigma3.tensor(ident),
+        }
+    raise UnknownName(f"no catalog entry named {name!r}; have {CATALOG_NAMES}")

@@ -7,6 +7,8 @@ traced benchmark runs; these tests fail first.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,7 +51,7 @@ def test_tracer_installs_counts_and_uninstalls():
     try:
         assert hasattr(MonomialMatrix.__dict__["__matmul__"], "__wrapped__")
         spec = GcaSpec(validate_tmatrix([[0, 1], [-1, 0]], 3), (3, 3))
-        # looked up on the package, where the tracer rebinds it
+        # looked up on the package, which reads the binding the tracer replaced
         gcakit.build_representation(spec)
         tracer.end_call()
     finally:
@@ -72,3 +74,31 @@ def test_uninstall_restores_every_binding():
     assert _bindings() != first
     tracer.uninstall()
     assert _bindings() == first
+
+
+def test_names_read_while_traced_are_not_kept_wrapped():
+    # a fresh process, so that no name was read through the package before
+    script = (
+        "import importlib.util, sys\n"
+        "import gcakit\n"
+        "spec = importlib.util.spec_from_file_location('perfbench_tracer', sys.argv[1])\n"
+        "mod = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(mod)\n"
+        "def traced(v):\n"
+        "    return getattr(v, '__qualname__', '').startswith('Tracer.')\n"
+        "tracer = mod.Tracer()\n"
+        "tracer.install()\n"
+        "print(sum(traced(getattr(gcakit, n)) for n in gcakit.__all__))\n"
+        "tracer.uninstall()\n"
+        "for n, m in gcakit._HOME.items():\n"
+        "    v = getattr(gcakit, n)\n"
+        "    if v is not getattr(sys.modules['gcakit.' + m], n) or traced(v):\n"
+        "        print(n)\n"
+    )
+    src = str(Path(gcakit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", script, str(TRACER)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    wrapped, *kept = proc.stdout.split()
+    assert int(wrapped) > 0  # the tracer was seen through the package
+    assert kept == []

@@ -225,7 +225,7 @@ def test_canonical_unsupported_is_exit_one(monkeypatch):
     def failing(p, tol):
         raise gcakit.UnsupportedTransform(VerificationReport((Check("relation A", False, "residual 1"),)))
 
-    monkeypatch.setattr("gcakit.cli.canonical_intertwiner", failing)
+    monkeypatch.setattr("gcakit.phasespace.canonical_intertwiner", failing)
     code, out, err = call(["canonical", "3", "0", "0", "3", "--order", "4"])
     assert code == 1
     assert out.startswith("unsupported transform\n") and "relation A" in out
@@ -314,6 +314,15 @@ def test_argparse_errors_pass_through(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def fresh_process(script: str) -> str:
+    """What script prints in a new interpreter that imports this gcakit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gcakit.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return proc.stdout
+
+
 def test_parser_is_built_once_per_process():
     script = (
         "import io\n"
@@ -324,12 +333,33 @@ def test_parser_is_built_once_per_process():
         "info = cli._build_parser.cache_info()\n"
         "print(before, info.misses, info.hits)\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gcakit.__file__)))
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
     # importing builds no parser; forty calls build it once
-    assert proc.stdout.split() == ["0", "1", "39"]
+    assert fresh_process(script).split() == ["0", "1", "39"]
+
+
+def test_exact_subcommands_load_no_dense_layer():
+    script = (
+        "import io, sys\n"
+        "import gcakit\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('gcakit.')) or '-')\n"
+        "import gcakit.cli\n"
+        "gcakit.cli.run(['catalog', 'pauli'], stdout=io.StringIO())\n"
+        "gcakit.cli.run(['rep', '[[0,1],[-1,0]]', '--nhat', '4'], stdout=io.StringIO())\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('gcakit.')))\n"
+    )
+    after_import, after_run = fresh_process(script).splitlines()
+    assert after_import == "-"
+    assert "gcakit.weylpairs" in after_run.split()
+    assert {"gcakit.lmatrix", "gcakit.phasespace"}.isdisjoint(after_run.split())
+
+
+def test_package_names_resolve_on_first_use():
+    names = {}
+    exec("from gcakit import *", names)
+    assert set(gcakit.__all__) <= names.keys()
+    assert set(gcakit.__all__) <= set(dir(gcakit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gcakit.no_such_name
 
 
 def test_usage_errors_and_help_leave_the_parser_unchanged():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcakit import (
+    BadOrder,
     DenominatorOverflow,
     DimensionMismatch,
     GcaError,
@@ -44,6 +45,17 @@ def test_identity_and_diagonal():
     assert np.array_equal(to_dense(MonomialMatrix.identity(3)), np.eye(3))
     d = MonomialMatrix.diagonal((ONE, Phase(1, 2)))
     assert np.array_equal(to_dense(d), np.diag([1, -1]).astype(complex))
+
+
+@pytest.mark.parametrize("dim", [True, 2.0, -1])
+def test_identity_rejects_a_dim_that_is_not_a_count(dim):
+    with pytest.raises(BadOrder, match=f"dim must be .*{dim}"):
+        MonomialMatrix.identity(dim)
+
+
+def test_identity_takes_a_numpy_dim_and_an_empty_one():
+    assert MonomialMatrix.identity(np.int64(3)) == MonomialMatrix.identity(3)
+    assert MonomialMatrix.identity(0).dim == 0
 
 
 def test_product_matches_dense():

@@ -4,6 +4,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,27 @@ def test_constructor_reduces_mod_one():
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         Phase(1, 0)
+
+
+def test_bool_exponent_rejected():
+    # True is an int subclass, and was read as 1/2
+    with pytest.raises(ValueError, match="True"):
+        Phase(True, 2)
+
+
+def test_float_exponent_rejected():
+    with pytest.raises(ValueError, match="1.5"):
+        Phase(1.5, 2)
+
+
+def test_float_power_rejected():
+    with pytest.raises(ValueError, match="1.5"):
+        Phase(1, 2) ** 1.5
+
+
+def test_numpy_integers_are_stored_as_int():
+    p = Phase(np.int64(6), np.int32(8))
+    assert p == Phase(3, 4) and type(p.num) is int and type(p.den) is int
 
 
 def test_from_fraction():

@@ -42,7 +42,7 @@ from gcakit import (
     weyl_pair_for,
 )
 from gcakit.matrices import MonomialMatrix
-from gcakit.repbuilder import sigma1, sigma2, sigma3
+from gcakit.weylpairs import sigma1, sigma2, sigma3
 from gcakit.report import Check, VerificationReport
 from gcakit import repbuilder
 

@@ -36,10 +36,10 @@ from gcakit import (
     verify_relations,
     wigner_inverse,
 )
-from gcakit import cli, phasespace
+from gcakit import phasespace
 from gcakit.cli import run
 from gcakit.matrices import within_tol
-from gcakit.repbuilder import sigma1
+from gcakit.weylpairs import sigma1
 from gcakit.serialize import matrix_to_doc
 from gcakit.skewnormal import validate_tmatrix
 from gcakit.weylpairs import clock, shift
@@ -151,7 +151,7 @@ def test_a_broken_family_fails_the_power_law_at_every_scale():
 
 
 def test_a_zeroed_reconstruction_fails_decompose_at_tiny_scale(monkeypatch):
-    monkeypatch.setattr(cli, "schwinger_reconstruct", lambda sc: np.zeros_like(sc.coeffs))
+    monkeypatch.setattr(phasespace, "schwinger_reconstruct", lambda sc: np.zeros_like(sc.coeffs))
     out, err = io.StringIO(), io.StringIO()
     assert run(["decompose", "[[1e-12, 2e-12], [3e-12, 4e-12]]"], stdout=out, stderr=err) == 1
     doc = json.loads(out.getvalue())
@@ -245,7 +245,8 @@ def test_commutation_verdicts_do_not_depend_on_scale(seed, n, order, eps, ks):
 def decompose_code(m: np.ndarray, wrong: np.ndarray) -> int:
     """gcakit decompose's exit code when the reconstruction is off by wrong."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "schwinger_reconstruct", lambda sc: phasespace.schwinger_reconstruct(sc) + wrong)
+        reconstruct = phasespace.schwinger_reconstruct
+        mp.setattr(phasespace, "schwinger_reconstruct", lambda sc: reconstruct(sc) + wrong)
         return run(["decompose", json.dumps(matrix_to_doc(m))], stdout=io.StringIO(), stderr=io.StringIO())
 
 
