@@ -23,7 +23,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import BadOrder, DenominatorOverflow, DimensionMismatch
-from .phase import Phase, _is_integer
+from .phase import Phase, _int_exponent, _is_integer
 
 __all__ = [
     "DEFAULT_TOL",
@@ -140,6 +140,36 @@ def _coset_sum(residues, big: int) -> complex:
         if cnt:
             total += cnt * Phase(res, big).to_complex()
     return total
+
+
+def _roots(exp: np.ndarray, den: int) -> np.ndarray:
+    """The roots e^(2*pi*i*exp/den) for exponents 0 <= exp < den, elementwise.
+
+    One Phase.to_complex per distinct exponent, gathered, so every entry has
+    Phase's exact bits.  When den is no larger than the array, the distinct
+    exponents are found by counting into den slots, with no sort.
+    """
+    if den > np.size(exp):
+        vals, inv = np.unique(exp, return_inverse=True)
+        table = np.array([Phase(v, den).to_complex() for v in vals.tolist()], dtype=complex)
+        return table[inv.reshape(np.shape(exp))]
+    vals = np.flatnonzero(np.bincount(np.ravel(exp), minlength=den))
+    table = np.zeros(den, dtype=complex)
+    table[vals] = [Phase(v, den).to_complex() for v in vals.tolist()]
+    return table[exp]
+
+
+def _root_sums(exp: np.ndarray, den: int) -> np.ndarray:
+    """Row sums of the roots e^(2*pi*i*exp[r, t]/den), each as _coset_sum gives it.
+
+    A row of one term needs no cancellation, so that case is one gather from
+    the distinct roots, added to 0j as _coset_sum adds it (a lone -i comes
+    out as 0-1j, not -0-1j).  Longer rows go through _coset_sum in column
+    order, which keeps its exact zeros and its float summation order.
+    """
+    if exp.shape[1] == 1:
+        return 0j + _roots(exp[:, 0], den)
+    return np.array([_coset_sum(row, den) for row in exp.tolist()], dtype=complex)
 
 
 def phase_sum(phases) -> complex:
@@ -266,6 +296,7 @@ class MonomialMatrix:
         return self.adjoint()
 
     def __pow__(self, k: int) -> "MonomialMatrix":
+        k = _int_exponent(k)
         if k == 0:
             return MonomialMatrix.identity(self.dim)
         base = self if k > 0 else self.inverse()
@@ -292,10 +323,7 @@ class MonomialMatrix:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        # one Phase.to_complex per distinct entry keeps the values bit-exact
-        vals, inv = np.unique(self._exp, return_inverse=True)
-        table = np.array([Phase(v, self.den).to_complex() for v in vals.tolist()], dtype=complex)
-        out[self._target, np.arange(self.dim)] = table[inv]
+        out[self._target, np.arange(self.dim)] = _roots(self._exp, self.den)
         return out
 
     def trace_exact(self) -> complex:

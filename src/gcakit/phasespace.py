@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -31,8 +31,9 @@ from .matrices import (
     MonomialMatrix,
     _int_at_least,
     _is_integer,
+    _root_sums,
+    _roots,
     max_abs_diff,
-    phase_sum,
     to_dense,
     within_tol,
 )
@@ -184,9 +185,8 @@ def _wigner_twist(nu: int) -> np.ndarray:
     sum v w^(xe eta/2) B_s^xe A^eta, with the symmetric clock B_s = w^(-nu) B,
     into a sum over the words A^eta B^xe (1/2 is (d+1)/2 mod d)."""
     d = 2 * nu + 1
-    roots = np.array([Phase(j, d).to_complex() for j in range(d)])
     xe = np.arange(d)[:, None]
-    return roots[(xe * xe.T * ((d + 1) // 2 - 1) - xe * nu) % d]
+    return _roots((xe * xe.T * ((d + 1) // 2 - 1) - xe * nu) % d, d)
 
 
 @np.errstate(all="ignore")
@@ -284,15 +284,30 @@ def _fit_scalar(lhs: np.ndarray, rhs: np.ndarray):
     return z, float(max_abs_diff(lhs, z * rhs))
 
 
-def _gauss_terms(p: CanonicalParams, q: int, x: int, y: int) -> list[Phase]:
-    """The roots of unity that _gauss_table sums into its entry (x, y)."""
-    order = p.order
-    j = (q - y) % order
-    return [
-        Phase(-p.k * p.l * j * j - p.m * p.n * k * k - 2 * p.l * p.m * j * k - 2 * k * q, 2 * order)
-        for k in range(order)
-        if (p.k * j + p.m * k + x) % order == 0
-    ]
+def _gauss_exponents(p: CanonicalParams, x, j, q) -> tuple[np.ndarray, np.ndarray]:
+    """Terms of the Gauss sums at entries (x, j = q - y mod N) of column q.
+
+    x, j and q broadcast to one shape.  Returns the mask of entries that have
+    any term, and for each such entry, in mask order, the exponents mod 2N of
+    its g = gcd(m, N) terms in ascending k'.
+    """
+    order, big = p.order, 2 * p.order
+    x, j, q = np.broadcast_arrays(x, j, q)
+    g = gcd(p.m, order)
+    step = order // g
+    rhs = (p.k * j + x) % order
+    live = rhs % g == 0
+    j, q = j[live][:, None], q[live][:, None]
+    # m k' = -rhs mod N: k' = k0 + t N/g, with k0 from m/g inverted mod N/g
+    k0 = -(rhs[live] // g) * pow(p.m // g, -1, step) % step
+    k = k0[:, None] + step * np.arange(g)
+    exp = (
+        -(p.k * p.l % big) * (j * j % big)
+        - (p.m * p.n % big) * (k * k % big)
+        - (2 * p.l * p.m % big) * (j * k % big)
+        - 2 * q * k % big
+    )
+    return live, exp % big
 
 
 def _gauss_table(p: CanonicalParams, q: int) -> np.ndarray:
@@ -300,19 +315,24 @@ def _gauss_table(p: CanonicalParams, q: int) -> np.ndarray:
 
     Expanding the transformed words through A'^j B'^k =
     w^(-kl j^2/2 - mn k^2/2 - lm jk) A^(kj+mk') B^(...) pins j = q - y and
-    leaves, per entry, a Gauss sum over the k' solving k j + m k' = -x
-    mod N.  Every term is a root of unity with an integer exponent over 2N,
-    so the sum is evaluated with exact coset cancellation.
+    leaves, per entry (x, y), a Gauss sum over the k' solving
+    k j + m k' + x = 0 mod N.  With g = gcd(m, N) that congruence has no
+    solution unless g divides k j + x, and then exactly g of them, spaced
+    N/g apart, so the whole table has N^2 terms (_gauss_exponents).  Each
+    term is a root of unity with an integer exponent over 2N.  When m is a
+    unit every entry is one root, gathered from the distinct roots; longer
+    sums go through exact coset cancellation (matrices._root_sums).
 
     The average commutes with the transformed pair on the left and the
     original pair on the right, so by Schur's lemma it is N conj(U[0, q]) U
     for the unitary intertwiner U: nonzero exactly when U[0, q] is.
     """
     order = p.order
+    x = np.arange(order)[:, None]
+    j = (q - np.arange(order)) % order
+    live, exp = _gauss_exponents(p, x, j, q)
     s = np.zeros((order, order), dtype=complex)
-    for y in range(order):
-        for x in range(order):
-            s[x, y] = phase_sum(_gauss_terms(p, q, x, y))
+    s[live] = _root_sums(exp, 2 * order)
     return s
 
 
@@ -331,7 +351,8 @@ def canonical_intertwiner(p: CanonicalParams, tol: float = DEFAULT_TOL) -> Canon
     """
     order = p.order
     ap, bp = canonical_pair(p)
-    corners = [phase_sum(_gauss_terms(p, q, 0, q)) for q in range(order)]
+    _, exp = _gauss_exponents(p, 0, 0, np.arange(order))
+    corners = _root_sums(exp, 2 * order)
     q = int(np.argmax(np.abs(corners)))
     s = _gauss_table(p, q) / corners[q]
 

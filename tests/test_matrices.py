@@ -97,6 +97,22 @@ def test_power():
         ) < 1e-13
 
 
+def test_bool_power_rejected():
+    # True used to be read as the exponent 1 and gave back the matrix
+    with pytest.raises(ValueError, match="power must be an integer, got True"):
+        MonomialMatrix.identity(2) ** True
+
+
+def test_float_power_rejected_with_the_exponent_named():
+    # 1.5 used to fail with a bare TypeError from the bit loop
+    with pytest.raises(ValueError, match=r"power must be an integer, got 1\.5"):
+        shift(3) ** 1.5
+
+
+def test_numpy_integer_power_is_taken():
+    assert shift(5) ** np.int64(-2) == shift(5) ** 3
+
+
 def test_tensor_matches_kron():
     rng = np.random.default_rng(5)
     for _ in range(10):

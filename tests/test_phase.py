@@ -42,6 +42,28 @@ def test_float_power_rejected():
         Phase(1, 2) ** 1.5
 
 
+def test_bool_power_rejected():
+    # True used to be read as the exponent 1
+    with pytest.raises(ValueError, match="power must be an integer, got True"):
+        Phase(1, 2) ** True
+
+
+def test_bool_root_index_rejected():
+    with pytest.raises(ValueError, match="root index must be an integer, got True"):
+        Phase(1, 4).root(True)
+
+
+def test_float_root_index_is_named_in_the_message():
+    # the message used to name the product 1/6.0, not the index
+    with pytest.raises(ValueError, match=r"root index must be an integer, got 1\.5"):
+        Phase(1, 4).root(1.5)
+
+
+def test_numpy_integer_powers_and_roots_are_taken():
+    assert Phase(1, 4) ** np.int64(3) == MINUS_IMAG
+    assert Phase(1, 2).root(np.int32(2)) == IMAG
+
+
 def test_numpy_integers_are_stored_as_int():
     p = Phase(np.int64(6), np.int32(8))
     assert p == Phase(3, 4) and type(p.num) is int and type(p.den) is int

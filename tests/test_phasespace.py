@@ -45,6 +45,8 @@ from gcakit import (
     wigner_forward,
     wigner_inverse,
 )
+from gcakit import matrices
+from gcakit.matrices import phase_sum
 from gcakit.phasespace import _gauss_table
 
 
@@ -471,6 +473,101 @@ def test_every_tuple_up_to_order_twelve_is_intertwined():
                 assert np.count_nonzero(s, axis=0).tolist() == [1] * order, p
             if math.gcd(p.m, order) == 1 or (p.k, p.l, p.m, p.n) == (1, 0, 0, 1):
                 assert np.array_equal(s, q_scan_oracle(p)), p
+
+
+def gauss_terms_oracle(p, q, x, y):
+    """The roots _gauss_table sums into its entry (x, y), found by scanning
+    every k' for the congruence k j + m k' + x = 0 mod N, j = q - y."""
+    order = p.order
+    j = (q - y) % order
+    return [
+        Phase(-p.k * p.l * j * j - p.m * p.n * k * k - 2 * p.l * p.m * j * k - 2 * k * q, 2 * order)
+        for k in range(order)
+        if (p.k * j + p.m * k + x) % order == 0
+    ]
+
+
+def gauss_table_oracle(p, q):
+    """The Gauss table summed entry by entry with phase_sum."""
+    order = p.order
+    s = np.zeros((order, order), dtype=complex)
+    for y in range(order):
+        for x in range(order):
+            s[x, y] = phase_sum(gauss_terms_oracle(p, q, x, y))
+    return s
+
+
+def assert_tables_match_the_scan(p, qs):
+    """_gauss_table(p, q) for q in qs, and the intertwiner, bit for bit as
+    the per-entry scan and phase_sum give them."""
+    tables = {q: gauss_table_oracle(p, q) for q in qs}
+    for q, want in tables.items():
+        assert _gauss_table(p, q).tobytes() == want.tobytes(), (p, q)
+    corners = [phase_sum(gauss_terms_oracle(p, q, 0, q)) for q in range(p.order)]
+    q = int(np.argmax(np.abs(corners)))
+    table = tables[q] if q in tables else gauss_table_oracle(p, q)
+    assert canonical_intertwiner(p).s.tobytes() == (table / corners[q]).tobytes(), p
+
+
+def test_gauss_tables_match_the_scan_for_every_tuple_up_to_order_eight():
+    for order in (2, 4, 6, 8):
+        for p in valid_tuples(order):
+            assert_tables_match_the_scan(p, range(order))
+
+
+def test_a_lone_minus_i_entry_has_a_positive_zero_real_part():
+    # _coset_sum starts from 0j, so a lone -i is 0-1j; a raw gather of
+    # Phase(3, 4).to_complex() would give -0-1j, and JSON would print -0.0
+    p = CanonicalParams(k=0, l=1, m=1, n=1, order=2)
+    assert_tables_match_the_scan(p, range(2))
+    entry = canonical_intertwiner(p).s[1, 0]
+    assert entry == -1j and not np.signbit(entry.real)
+
+
+@st.composite
+def det_one_params(draw, m_kind):
+    """A determinant-1 tuple at N in {10, 12, 16, 24, 32}, with m = 0, m even
+    (never a unit at even N, so gcd(m, N) >= 2) or m anything."""
+    order = draw(st.sampled_from((10, 12, 16, 24, 32)))
+    if m_kind == "zero":
+        m = 0
+    elif m_kind == "even":
+        m = draw(st.sampled_from(range(2, order, 2)))
+    else:
+        m = draw(st.integers(0, order - 1))
+    k = draw(st.sampled_from([k for k in range(order) if math.gcd(k, m, order) == 1]))
+    l, n = draw(st.sampled_from(
+        [(l, n) for l in range(order) for n in range(order) if (k * n - l * m) % order == 1]
+    ))
+    return CanonicalParams(k=k, l=l, m=m, n=n, order=order)
+
+
+@pytest.mark.parametrize("m_kind", ["zero", "even", "any"])
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_gauss_tables_match_the_scan_at_larger_orders(m_kind, data):
+    p = data.draw(det_one_params(m_kind))
+    q = data.draw(st.integers(0, p.order - 1))
+    assert_tables_match_the_scan(p, [q])
+
+
+@pytest.mark.parametrize(
+    "params, g", [((1, 1, 1, 2), 1), ((1, 2, 2, 5), 2), ((1, 8, 8, 65), 8), ((1, 0, 0, 1), 32)]
+)
+def test_intertwiner_sums_only_the_entries_with_several_terms(monkeypatch, params, g):
+    """A unit m gives one root per entry and needs no coset cancellation; for
+    g = gcd(m, N) >= 2 only the N^2/g live entries and the N corners do."""
+    calls = []
+    coset_sum = matrices._coset_sum
+    monkeypatch.setattr(matrices, "_coset_sum", lambda *a: calls.append(1) or coset_sum(*a))
+    order = 32
+    p = CanonicalParams(*params, order=order)
+    assert math.gcd(p.m, order) == g
+    assert canonical_intertwiner(p).report.overall
+    if g == 1:
+        assert calls == []
+    else:
+        assert len(calls) <= order * order // g + order
 
 
 def test_composition_parameters_multiply():
