@@ -23,7 +23,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import BadOrder, DenominatorOverflow, DimensionMismatch
-from .phase import Phase, _int_exponent, _is_integer
+from .phase import Phase, _as_int, _is_integer
 
 __all__ = [
     "DEFAULT_TOL",
@@ -78,11 +78,10 @@ def _int_vector(values, what: str) -> np.ndarray:
 
 def _validated(target, exp, den) -> tuple[np.ndarray, np.ndarray, int]:
     """Integer arrays (target, exp mod den) and den, checked for a monomial matrix."""
-    if not _is_integer(den):
-        raise ValueError(f"denominator must be an integer, got {den!r}")
+    den = _as_int(den, "denominator")
     if den < 1:
         raise ValueError(f"denominator must be >= 1, got {den}")
-    den = _check_den(int(den))
+    den = _check_den(den)
     target = _int_vector(target, "target")
     exp = _int_vector(exp, "exp") % den
     if target.ndim != 1 or exp.shape != target.shape:
@@ -296,7 +295,7 @@ class MonomialMatrix:
         return self.adjoint()
 
     def __pow__(self, k: int) -> "MonomialMatrix":
-        k = _int_exponent(k)
+        k = _as_int(k, "power")
         if k == 0:
             return MonomialMatrix.identity(self.dim)
         base = self if k > 0 else self.inverse()

@@ -26,13 +26,13 @@ def _is_integer(x) -> bool:
     return not isinstance(x, bool) and isinstance(x, (int, np.integer))
 
 
-def _int_exponent(k, what: str = "power") -> int:
-    """k as an int when _is_integer(k); ValueError naming k otherwise."""
-    if type(k) is int:
-        return k
-    if not _is_integer(k):
-        raise ValueError(f"{what} must be an integer, got {k!r}")
-    return int(k)
+def _as_int(x, what: str) -> int:
+    """x as an int when _is_integer(x); ValueError naming what and x otherwise."""
+    if type(x) is int:
+        return x
+    if not _is_integer(x):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,7 +100,7 @@ class Phase:
         return Phase(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __pow__(self, k: int) -> "Phase":
-        return Phase(self.num * _int_exponent(k), self.den)
+        return Phase(self.num * _as_int(k, "power"), self.den)
 
     def inverse(self) -> "Phase":
         return Phase(-self.num, self.den)
@@ -110,7 +110,7 @@ class Phase:
 
     def root(self, k: int) -> "Phase":
         """Principal k-th root: the one with the smallest nonnegative exponent."""
-        k = _int_exponent(k, "root index")
+        k = _as_int(k, "root index")
         if k <= 0:
             raise ValueError("root index must be positive")
         return Phase(self.num, self.den * k)

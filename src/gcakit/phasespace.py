@@ -34,10 +34,11 @@ from .matrices import (
     _root_sums,
     _roots,
     max_abs_diff,
+    phase_sum,
     to_dense,
     within_tol,
 )
-from .phase import Phase
+from .phase import Phase, _as_int
 from .repbuilder import GcaSpec, Representation, build_representation
 from .report import Check, VerificationReport
 from .skewnormal import validate_tmatrix
@@ -237,10 +238,7 @@ class CanonicalParams:
         if self.order < 2 or self.order % 2 != 0:
             raise BadOrder(f"order must be even and >= 2, got {self.order}")
         for name in ("k", "l", "m", "n"):
-            x = getattr(self, name)
-            if not _is_integer(x):
-                raise ValueError(f"{name} must be an integer, got {x!r}")
-            object.__setattr__(self, name, int(x) % self.order)
+            object.__setattr__(self, name, _as_int(getattr(self, name), name) % self.order)
         det = (self.k * self.n - self.l * self.m) % self.order
         if det != 1:
             raise BadDeterminant(f"k n - l m = {det} mod {self.order}, need 1")
@@ -343,8 +341,10 @@ def canonical_intertwiner(p: CanonicalParams, tol: float = DEFAULT_TOL) -> Canon
     (_gauss_table), which intertwines the pairs with zeta_a = zeta_b = 1.
     By Schur's lemma the table at column q is N conj(U[0, q]) U, so its
     corner c_q = table[0, q] = N |U[0, q]|^2 is real and nonnegative, and
-    some c_q is at least 1.  S is the table at the first q with the largest
-    corner, divided by that corner: S = U / U[0, q], with S[0, q] = 1.
+    some c_q is at least 1.  Each corner is a Gauss sum of g = gcd(m, N)
+    roots, summed exactly by phase_sum.  S is the table at the first q with
+    the largest corner, divided by that corner: S = U / U[0, q], with
+    S[0, q] = 1.
     When m is a unit mod N every corner is 1, q = 0, and S has one root of
     unity per entry (the order-2 swap gives [[1, 1], [1, -1]]); when m = 0
     S is monomial, a dilation times a diagonal chirp.
@@ -352,7 +352,7 @@ def canonical_intertwiner(p: CanonicalParams, tol: float = DEFAULT_TOL) -> Canon
     order = p.order
     ap, bp = canonical_pair(p)
     _, exp = _gauss_exponents(p, 0, 0, np.arange(order))
-    corners = _root_sums(exp, 2 * order)
+    corners = [phase_sum(Phase(e, 2 * order) for e in row) for row in exp.tolist()]
     q = int(np.argmax(np.abs(corners)))
     s = _gauss_table(p, q) / corners[q]
 
