@@ -17,9 +17,9 @@ import sys
 
 import numpy as np
 
-from .errors import GcaError, NotFinite, UnsupportedTransform
+from .errors import GcaError, UnsupportedTransform
 from .matrices import DEFAULT_TOL, max_abs_diff, to_dense, within_tol
-from .phase import Phase
+from .phase import Phase, _as_int
 from .repbuilder import (
     GcaSpec,
     build_representation,
@@ -70,33 +70,24 @@ def _int_matrix(doc) -> list[list[int]]:
     return doc
 
 
-def _int_list(text: str, what: str) -> tuple[int, ...]:
+def _list_arg(text: str, what: str, kind: type = int) -> tuple:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(kind(x) for x in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"{what} must be comma-separated integers: {text!r}") from exc
-
-
-def _float_list(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"{what} must be comma-separated numbers: {text!r}") from exc
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{what} must be comma-separated {noun}: {text!r}") from exc
 
 
 def _any_matrix(arg: str) -> np.ndarray:
-    """A matrix document, or a bare JSON array of (possibly complex-pair) rows, as a dense array."""
+    """A matrix document, or a bare JSON array of rows of real numbers, as a dense array."""
     doc = _read_json_arg(arg)
     if isinstance(doc, dict):
         return to_dense(doc_to_matrix(doc))
     if isinstance(doc, list):
-        arr = np.asarray(doc)
+        arr = to_dense(doc)
         if arr.ndim != 2:
             raise ValueError(f"bare matrix must be 2d, got shape {arr.shape}")
-        try:
-            return arr.astype(complex)
-        except OverflowError:  # an integer past the float range
-            raise NotFinite("matrix entries must be finite") from None
+        return arr
     raise ValueError("matrix argument must be an object or an array")
 
 
@@ -215,7 +206,7 @@ def _rep_doc(rep, report):
 
 def _cmd_rep(args):
     t = validate_tmatrix(_int_matrix(_read_json_arg(args.tmatrix)), args.nhat)
-    orders = _int_list(args.orders, "--orders") if args.orders else (t.nhat,) * t.n
+    orders = _list_arg(args.orders, "--orders") if args.orders else (t.nhat,) * t.n
     rep = build_representation(GcaSpec(t, orders))
     return _rep_doc(rep, rep.report)
 
@@ -248,7 +239,7 @@ def _cmd_projrep(args):
 def _cmd_lmat(args):
     from .lmatrix import LSpec, family_rep, l_matrix, nth_power_check
 
-    lam = _float_list(args.lam, "--lam")
+    lam = _list_arg(args.lam, "--lam", float)
     rep = family_rep(len(lam), args.order)
     spec = LSpec(lam, rep)
     power = nth_power_check(spec, tol=args.tol)
@@ -265,7 +256,7 @@ def _cmd_lmat(args):
 def _cmd_ldiag(args):
     from .lmatrix import LSpec, diagonalize_l, family_rep
 
-    lam = _float_list(args.lam, "--lam")
+    lam = _list_arg(args.lam, "--lam", float)
     spec = LSpec(lam, family_rep(len(lam), 2))
     res = diagonalize_l(spec, tol=args.tol)
     return {
@@ -335,7 +326,7 @@ def _cmd_magnetic(args):
         "gens": [matrix_to_doc(g) for g in mag.rep.gens],
     }
     if args.steps:
-        steps = _int_list(args.steps, "--steps")
+        steps = _list_arg(args.steps, "--steps")
         if len(steps) != 3:
             raise ValueError("--steps takes exactly three integers")
         ph = bloch_phase(lat, steps)
@@ -354,9 +345,7 @@ def _cmd_verify(args):
     doc = _read_json_arg(args.document)
     if not isinstance(doc, dict):
         raise ValueError("verify takes an object document")
-    nhat = doc.get("nhat")
-    if isinstance(nhat, bool) or not isinstance(nhat, int):
-        raise ValueError("document field 'nhat' must be an integer")
+    nhat = _as_int(doc.get("nhat"), "document field 'nhat'")
     t = validate_tmatrix(_int_matrix(doc.get("t")), nhat)
     # verify_relations validates the entries
     orders = doc.get("orders")

@@ -24,7 +24,7 @@ from .errors import (
     NotReal,
     ZeroVector,
 )
-from .matrices import DEFAULT_TOL, max_abs_diff, within_tol
+from .matrices import DEFAULT_TOL, max_abs_diff, to_dense, within_tol
 from .repbuilder import Representation, ordered_gca_generators
 
 __all__ = [
@@ -48,14 +48,13 @@ class LSpec:
     rep: Representation
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(complex(x) for x in self.lam))
+        lam = to_dense(self.lam)
+        if lam.shape != (len(self.rep.gens),):
+            raise DimensionMismatch(f"coefficients of shape {lam.shape} for {len(self.rep.gens)} generators")
+        object.__setattr__(self, "lam", tuple(lam.tolist()))
         for x in self.lam:
             if not cmath.isfinite(x):
                 raise NotFinite(f"coefficients must be finite, got {x}")
-        if len(self.lam) != len(self.rep.gens):
-            raise DimensionMismatch(
-                f"{len(self.lam)} coefficients for {len(self.rep.gens)} generators"
-            )
 
 
 def _combination(coeffs, gens, dim: int) -> np.ndarray:
@@ -96,7 +95,7 @@ def sigma_operation(spec: LSpec, lam_new) -> LSpec:
     order = family_order(spec.rep)
     if order is None:
         raise BadOrder("sigma operation is defined on the standard families only")
-    lam_new = tuple(complex(x) for x in lam_new)
+    lam_new = tuple(lam_new)  # LSpec reads the entries
     if len(lam_new) != 3:
         raise DimensionMismatch(f"replacement block takes 3 coefficients, got {len(lam_new)}")
 

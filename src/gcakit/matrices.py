@@ -22,7 +22,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import BadOrder, DenominatorOverflow, DimensionMismatch
+from .errors import BadOrder, DenominatorOverflow, DimensionMismatch, NotFinite
 from .phase import Phase, _as_int, _is_integer
 
 __all__ = [
@@ -365,9 +365,26 @@ def _aligned_exponents(mats, den: int = 1) -> tuple[list[np.ndarray], int]:
 
 
 def to_dense(x) -> np.ndarray:
+    """x as a complex array; the one rule for numbers that come from outside.
+
+    Each entry must be an int, float or complex (numpy scalars and numeric
+    dtypes count).  A bool, a string, None or a list where a number belongs
+    (as in a ragged list) raises ValueError naming the first one; an integer
+    past the float range raises NotFinite.  Finiteness is left to callers.
+    """
     if isinstance(x, MonomialMatrix):
         return x.to_dense()
-    return np.asarray(x, dtype=complex)
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iufc":
+        return x.astype(complex, copy=False)
+    # checked before numpy coerces: np.asarray([True, 2.5]) is already a float array
+    x = np.asarray(x, dtype=object)
+    for e in x.flat:
+        if isinstance(e, bool) or not isinstance(e, (int, float, complex, np.number)):
+            raise ValueError(f"entries must be numbers, got {e!r}")
+    try:
+        return x.astype(complex)
+    except OverflowError:  # an integer past the float range
+        raise NotFinite("matrix entries must be finite") from None
 
 
 def max_abs_diff(a, b) -> float:

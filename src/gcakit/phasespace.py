@@ -111,17 +111,14 @@ class SchwingerCoeffs:
     coeffs: np.ndarray
 
 
-def schwinger_coeffs(m, order: int | None = None) -> SchwingerCoeffs:
+def schwinger_coeffs(m) -> SchwingerCoeffs:
     """Expand a square matrix over the words:  mu_kl = Tr[(A^k B^l)^dag M] / N.
 
     The words are trace-orthogonal with norm N, so this inverts the sum
     M = sum_kl mu_kl A^k B^l exactly.
     """
     dense = _square_dense(m)
-    n = dense.shape[0]
-    if order is not None and order != n:
-        raise DimensionMismatch(f"matrix is {n}-dimensional, order given as {order}")
-    return SchwingerCoeffs(order=n, coeffs=_word_dft(dense))
+    return SchwingerCoeffs(order=dense.shape[0], coeffs=_word_dft(dense))
 
 
 def schwinger_reconstruct(sc: SchwingerCoeffs) -> np.ndarray:
@@ -170,15 +167,13 @@ class WignerTable:
     def __post_init__(self):
         object.__setattr__(self, "nu", _int_at_least(self.nu, "nu", 0))
         d = 2 * self.nu + 1
-        arr = np.asarray(self.w)
+        arr = to_dense(self.w)
         if arr.shape != (d, d):
             raise DimensionMismatch(f"table must be {d}x{d}, got {arr.shape}")
         _finite(arr, "table entries must be finite")
-        if np.iscomplexobj(arr):
-            if not within_tol(np.max(np.abs(arr.imag)), np.max(np.abs(arr)), 1e-9):
-                raise NotReal("table entries must be real")
-            arr = arr.real
-        object.__setattr__(self, "w", arr.astype(float))
+        if not within_tol(np.max(np.abs(arr.imag)), np.max(np.abs(arr)), 1e-9):
+            raise NotReal("table entries must be real")
+        object.__setattr__(self, "w", arr.real.copy())
 
 
 def _wigner_twist(nu: int) -> np.ndarray:

@@ -210,7 +210,8 @@ def verify_relations(gens, t: TMatrix, orders, tol: float = DEFAULT_TOL) -> Veri
     return VerificationReport(tuple(checks))
 
 
-# rows x dim bound on the arrays of one block of commutation checks
+# bound on the entries of one block of a batched check: rows x dim for the
+# commutation checks, triples (g, h, l) for the associativity identity
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -332,9 +333,14 @@ def ordered_gca_generators(n: int, n_order: int) -> Representation:
 # projective representations of finite abelian groups
 
 def _exact_exponent(x) -> Fraction:
-    if isinstance(x, (bool, float, np.floating)):  # Fraction(0.1) is over 2**55
-        raise ValueError(f"bilinear exponents must be exact rationals (int, Fraction or 'p/q'), got {x!r}")
-    return Fraction(x)
+    if not isinstance(x, (bool, float, np.floating)):  # Fraction(0.1) is over 2**55
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"bilinear exponent denominator must be nonzero, got {x!r}") from None
+        except (TypeError, ValueError, OverflowError):  # None, 1j, 'x', Decimal('inf')
+            pass
+    raise ValueError(f"bilinear exponents must be exact rationals (int, Fraction or 'p/q'), got {x!r}")
 
 
 def _table_exponents(orders, table: dict) -> tuple[tuple[int, ...], np.ndarray, int]:
@@ -423,7 +429,7 @@ class FactorSet:
             raise InvalidFactorSet(f"normalization fails at {self._element(int(bad[0]))}")
         size = len(e)
         # lhs/rhs[g, h, l] = phi(g,h) phi(gh,l) and phi(g,hl) phi(h,l), a block of g at a time
-        step = max(1, (1 << 20) // (size * size))
+        step = max(1, _BLOCK_ENTRIES // (size * size))
         for lo in range(0, size, step):
             rows = e[lo:lo + step]
             lhs = rows[:, :, None] + e[m[lo:lo + step]]

@@ -20,7 +20,9 @@ Multiplier tables and flux triples:
 Monomial phases and table rows go straight to and from the int64 exponent
 arrays that MonomialMatrix and FactorSet store, with no Phase per entry.
 Parsers raise ValueError on malformed documents, and NotFinite on a dense
-entry that is NaN, infinite or an integer past the float range.
+entry that is NaN, infinite or an integer past the float range.  Dense
+entries are read by matrices.to_dense: a bool, a string, null or a list is
+not a number.  Integer fields take an int, never a bool or a float.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NotFinite
-from .matrices import MonomialMatrix, _fraction_exponents
+from .matrices import MonomialMatrix, _fraction_exponents, to_dense
+from .phase import _as_int
 from .repbuilder import FactorSet, _table_exponents
 
 if TYPE_CHECKING:  # imported inside doc_to_flux, so loading serialize loads no phasespace
@@ -109,7 +112,7 @@ def matrix_to_doc(m) -> dict:
             "target": list(m.target),
             "phase": [{"num": a, "den": b} for a, b in zip(*m.phase_fractions())],
         }
-    arr = np.asarray(m, dtype=complex)
+    arr = to_dense(m)
     if arr.ndim != 2:
         raise ValueError(f"need a 2d matrix, got shape {arr.shape}")
     return {
@@ -124,12 +127,6 @@ def _need(doc: dict, field: str):
     if not isinstance(doc, dict) or field not in doc:
         raise ValueError(f"document is missing field {field!r}")
     return doc[field]
-
-
-def _as_int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return x
 
 
 def _fraction(d, what: str) -> tuple[int, int]:
@@ -167,18 +164,12 @@ def doc_to_matrix(doc: dict):
             raise ValueError("dim_rows and dim_cols must be >= 1")
         if not isinstance(entries, list) or len(entries) != rows * cols:
             raise ValueError(f"need {rows * cols} entries")
-        flat = []
-        for e in entries:
-            re, im = _need(e, "re"), _need(e, "im")
-            if isinstance(re, bool) or isinstance(im, bool):
-                raise ValueError("entries must be numbers")
-            if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-                raise ValueError("entries must be numbers")
-            try:
-                flat.append(complex(re, im))
-            except OverflowError:  # an integer past the float range
-                raise NotFinite("matrix entries must be finite") from None
-        arr = np.array(flat, dtype=complex)
+        parts = to_dense([(_need(e, "re"), _need(e, "im")) for e in entries])
+        if parts.shape != (len(entries), 2) or parts.imag.any():
+            raise ValueError("entries must be pairs of real numbers")
+        # assigned, not summed: re + 1j*im would turn -0.0 into 0.0 and an infinite im into NaN
+        arr = np.empty(len(entries), dtype=complex)
+        arr.real, arr.imag = parts.real.T
         if not np.isfinite(arr).all():
             raise NotFinite("matrix entries must be finite")
         return arr.reshape(rows, cols)

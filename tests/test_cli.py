@@ -295,6 +295,33 @@ def test_malformed_input_is_exit_two():
     assert code == 2 and err.startswith("error:")
 
 
+FLUX = '{"f12": [1, 3], "f13": [0, 1], "f23": [0, 1]}'
+T2 = "[[0, 1], [-1, 0]]"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decompose", "no-such-file.json"], "no such file and not inline JSON: 'no-such-file.json'"),
+        (["snf", "[]", "--nhat", "3"], "integer matrix must be a nonempty list of rows"),
+        (["snf", "[1, 2]", "--nhat", "3"], "integer matrix rows must be lists"),
+        (["rep", T2, "--nhat", "3", "--orders", "3,x"], "--orders must be comma-separated integers: '3,x'"),
+        (["lmat", "--lam", "1,x"], "--lam must be comma-separated numbers: '1,x'"),
+        (["decompose", "[1, 2]"], "bare matrix must be 2d, got shape (2,)"),
+        (["decompose", "-"], "matrix argument must be an object or an array"),  # stdin holds 3
+        (["wigner", "fwd", "[[1, 2, 3]]"], "table must be square, got shape (1, 3)"),
+        (["wigner", "fwd", "[[1, 0], [0, 1]]"], "table dimension must be odd, got 2"),
+        (["magnetic", FLUX, "--steps", "1,2"], "--steps takes exactly three integers"),
+        (["verify", "[1]"], "verify takes an object document"),
+        (["verify", '{"nhat": "3"}'], "document field 'nhat' must be an integer, got '3'"),
+        (["verify", '{"nhat": 2, "t": ' + T2 + ', "orders": 2}'], "document field 'orders' must be a list"),
+    ],
+)
+def test_each_argument_check_exits_two_with_its_message(argv, message, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("3"))
+    assert call(argv) == (2, "", f"error: {message}\n")
+
+
 def test_argparse_errors_pass_through(capsys):
     assert call([])[0] == 2
     assert call(["nosuchcommand"])[0] == 2

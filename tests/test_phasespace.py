@@ -84,7 +84,7 @@ def test_expansion_round_trip():
 def test_expansion_input_validation():
     with pytest.raises(DimensionMismatch):
         schwinger_coeffs(np.ones((2, 3)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(TypeError):  # the order is the matrix's own size; there is no option
         schwinger_coeffs(np.eye(3), order=4)
 
 

@@ -948,11 +948,17 @@ def test_exponent_table_set_up_sums_exponents_past_int64():
     assert (pr.commutators, pr.gens) == projective_setup_by_phases(fs)
 
 
-@pytest.mark.parametrize("exp", [0.1, 0.5, np.float64(0.25), True])
+@pytest.mark.parametrize("exp", [0.1, 0.5, np.float64(0.25), True, None, 1j])
 def test_bilinear_rejects_exponents_that_are_not_exact(exp):
-    # 0.1 used to be read as a phase over 2**55
+    # 0.1 used to be read as a phase over 2**55; None and 1j raised Fraction's TypeError
     with pytest.raises(ValueError, match="bilinear exponents must be exact rationals"):
         FactorSet.bilinear((2, 2), [[exp, 0], [0, 0]])
+
+
+def test_bilinear_rejects_a_zero_denominator_by_name():
+    # Fraction('1/0') used to raise a bare ZeroDivisionError
+    with pytest.raises(ValueError, match=r"^bilinear exponent denominator must be nonzero, got '1/0'$"):
+        FactorSet.bilinear((2, 2), [[0, "1/0"], [0, 0]])
 
 
 def test_bilinear_takes_ints_fractions_strings_and_numpy_integers():
